@@ -30,4 +30,18 @@
 // over. It is what functional verification diffs against the reference
 // executor, making ordering bugs visible as wrong bytes (Figure 5's
 // broken no-primitive bars).
+//
+// The store is paged. Slot address a lives in page a>>6 at offset
+// a&63: a page is one contiguous []int32 of 64*lanes lanes plus a
+// 64-bit bitmap of the slots ever written, and a map from page number
+// to page index finds it. Because addresses interleave channels at
+// slot granularity, the slots a kernel initializes fill whole pages.
+// A page is allocated the first time one of its slots is written;
+// every later Write copies into the page, and Read of a written slot
+// returns a capped view of it, so neither allocates. Clone copies page
+// by page, one allocation each. Equal compares pages, with a missing
+// page counting as zero. Touched is a running count of bitmap bits, so
+// the written-slot count stays exact even for explicit zero writes.
+// State and Restore speak the per-slot StoreState of written slots,
+// independent of the page layout.
 package dram

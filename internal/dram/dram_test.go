@@ -284,9 +284,9 @@ func TestStoreReadWrite(t *testing.T) {
 	if got := s.Read(a); got[2] != 3 {
 		t.Fatalf("Read = %v", got)
 	}
-	s.Update(a, func(_ int, old int32) int32 { return old * 10 })
+	s.Write(a, []int32{10, 20, 30, 40})
 	if got := s.Read(a); got[3] != 40 {
-		t.Fatalf("after Update, Read = %v", got)
+		t.Fatalf("after rewrite, Read = %v", got)
 	}
 	if s.Touched() != 1 {
 		t.Fatalf("Touched = %d, want 1", s.Touched())

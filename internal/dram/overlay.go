@@ -14,8 +14,6 @@ type Memory interface {
 	Read(a isa.Addr) []int32
 	// Write replaces the payload of a slot. The value slice is copied.
 	Write(a isa.Addr, v []int32)
-	// Update applies f lane-wise to the slot (read-modify-write).
-	Update(a isa.Addr, f func(lane int, old int32) int32)
 }
 
 var (
@@ -65,17 +63,6 @@ func (o *Overlay) Write(a isa.Addr, v []int32) {
 		o.delta[a] = dst
 	}
 	copy(dst, v)
-}
-
-// Update applies f lane-wise to the slot, reading through to the base
-// when the slot is clean.
-func (o *Overlay) Update(a isa.Addr, f func(lane int, old int32) int32) {
-	cur := o.Read(a)
-	out := make([]int32, o.base.lanes)
-	for i, v := range cur {
-		out[i] = f(i, v)
-	}
-	o.Write(a, out)
 }
 
 // Dirty returns the number of slots written through the overlay since

@@ -40,10 +40,14 @@ func TestOverlayUpdateAndFold(t *testing.T) {
 	base.Write(isa.Addr(0), []int32{10, 20})
 	o := NewOverlay(base)
 
-	// Update on a clean slot reads through to the base.
-	o.Update(isa.Addr(0), func(lane int, old int32) int32 { return old + 1 })
-	// Update on a dirty slot compounds on the delta.
-	o.Update(isa.Addr(0), func(lane int, old int32) int32 { return old * 2 })
+	// A read-modify-write on a clean slot reads through to the base.
+	update := func(f func(int32) int32) {
+		cur := o.Read(isa.Addr(0))
+		o.Write(isa.Addr(0), []int32{f(cur[0]), f(cur[1])})
+	}
+	update(func(old int32) int32 { return old + 1 })
+	// One on a dirty slot compounds on the delta.
+	update(func(old int32) int32 { return old * 2 })
 	o.Write(isa.Addr(8), []int32{7, 7})
 
 	if got := o.Read(isa.Addr(0)); got[0] != 22 || got[1] != 42 {

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"orderlight/internal/isa"
 )
@@ -67,33 +68,47 @@ func (tm *Timing) Restore(s TimingState) error {
 }
 
 // StoreState is the Store's checkpointable state: the lane width and a
-// deep copy of every touched slot.
+// deep copy of every written slot. It is keyed by slot, not by page, so
+// the encoding does not depend on the store's internal layout.
 type StoreState struct {
 	Lanes int
 	Data  map[isa.Addr][]int32
 }
 
-// State deep-copies the store contents.
+// State deep-copies the written slots of the store.
 func (s *Store) State() StoreState {
-	st := StoreState{Lanes: s.lanes, Data: make(map[isa.Addr][]int32, len(s.data))}
-	for a, v := range s.data {
-		st.Data[a] = append([]int32(nil), v...)
+	st := StoreState{Lanes: s.lanes, Data: make(map[isa.Addr][]int32, s.touched)}
+	buf := make([]int32, s.touched*s.lanes)
+	for i := range s.pages {
+		p := &s.pages[i]
+		for w := p.written; w != 0; w &= w - 1 {
+			off := bits.TrailingZeros64(w)
+			v := buf[:s.lanes:s.lanes]
+			buf = buf[s.lanes:]
+			copy(v, s.lanesOf(p, off))
+			st.Data[p.key<<pageShift|isa.Addr(off)] = v
+		}
 	}
 	return st
 }
 
 // Restore replaces the store contents with the snapshot, in place, so
-// every component sharing the store pointer sees the restored image.
+// every component sharing the store pointer sees the restored image. A
+// malformed snapshot leaves the store unchanged.
 func (s *Store) Restore(st StoreState) error {
 	if st.Lanes != s.lanes {
 		return fmt.Errorf("dram: snapshot store has %d lanes, store has %d", st.Lanes, s.lanes)
 	}
-	s.data = make(map[isa.Addr][]int32, len(st.Data))
 	for a, v := range st.Data {
 		if len(v) != s.lanes {
 			return fmt.Errorf("dram: snapshot slot %d has %d lanes, store has %d", a, len(v), s.lanes)
 		}
-		s.data[a] = append([]int32(nil), v...)
+	}
+	s.index = make(map[isa.Addr]int)
+	s.pages = nil
+	s.touched = 0
+	for a, v := range st.Data {
+		copy(s.slot(a), v)
 	}
 	return nil
 }

@@ -2,18 +2,42 @@ package dram
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"orderlight/internal/isa"
 )
 
-// Store is the functional backing memory: a lazily allocated map from
-// global slot address to the slot's int32 payload lanes. PIM units and
+// The store is paged: slot address a lives in page a>>pageShift at
+// offset a&pageMask. The page size is fixed; 64 slots make the written
+// bitmap one machine word.
+const (
+	pageShift = 6
+	pageSlots = 1 << pageShift
+	pageMask  = pageSlots - 1
+)
+
+// page holds pageSlots consecutive slots in one contiguous lane slab,
+// plus a bitmap of the slots ever written. Unwritten slots are zero.
+type page struct {
+	key     isa.Addr // page number: the slot address >> pageShift
+	data    []int32  // pageSlots*lanes lanes, slot i at [i*lanes, (i+1)*lanes)
+	written uint64
+}
+
+// Store is the functional backing memory: lazily allocated fixed-size
+// pages of slots, each slot carrying int32 payload lanes. PIM units and
 // the reference executor read and write through it, so the bytes a run
 // produces are real and an ordering violation shows up as a wrong
 // answer.
+//
+// Concurrent Read and Clone calls on a store nobody writes are safe;
+// the kernel cache and the parallel engine's overlays rely on that.
 type Store struct {
-	lanes int
-	data  map[isa.Addr][]int32
+	lanes   int
+	index   map[isa.Addr]int // page number -> position in pages
+	pages   []page           // in first-touch order
+	touched int              // set bits across every page's written bitmap
 }
 
 // NewStore creates an empty store whose slots carry the given number of
@@ -22,58 +46,88 @@ func NewStore(lanes int) *Store {
 	if lanes <= 0 {
 		panic("dram: store needs at least one lane per slot")
 	}
-	return &Store{lanes: lanes, data: make(map[isa.Addr][]int32)}
+	return &Store{lanes: lanes, index: make(map[isa.Addr]int)}
 }
 
 // Lanes returns the number of int32 lanes per slot.
 func (s *Store) Lanes() int { return s.lanes }
 
-// Read returns the payload of a slot. Untouched slots read as zero.
-// The returned slice must not be mutated; use Write.
+// page returns page number key, or nil when no slot in it was written.
+// The pointer is valid until the store next gains a page.
+func (s *Store) page(key isa.Addr) *page {
+	if i, ok := s.index[key]; ok {
+		return &s.pages[i]
+	}
+	return nil
+}
+
+// lanesOf returns slot off's lanes within a page slab, capped so an
+// append cannot spill into the next slot.
+func (s *Store) lanesOf(p *page, off int) []int32 {
+	lo, hi := off*s.lanes, (off+1)*s.lanes
+	return p.data[lo:hi:hi]
+}
+
+// Read returns the payload of a slot. A written slot comes back as a
+// view into the store, without allocating; it must not be mutated (use
+// Write). A never-written slot reads as zero in a fresh buffer.
 func (s *Store) Read(a isa.Addr) []int32 {
-	if v, ok := s.data[a]; ok {
-		return v
+	if p, off := s.page(a>>pageShift), int(a&pageMask); p.isWritten(off) {
+		return s.lanesOf(p, off)
 	}
 	return make([]int32, s.lanes)
 }
 
-// Write replaces the payload of a slot. The value slice is copied.
+// Write replaces the payload of a slot. The value slice is copied; only
+// the first write into a page allocates.
 func (s *Store) Write(a isa.Addr, v []int32) {
 	if len(v) != s.lanes {
 		panic(fmt.Sprintf("dram: write of %d lanes to %d-lane store", len(v), s.lanes))
 	}
-	dst, ok := s.data[a]
-	if !ok {
-		dst = make([]int32, s.lanes)
-		s.data[a] = dst
-	}
-	copy(dst, v)
+	copy(s.slot(a), v)
 }
 
-// Update applies f lane-wise to the slot (read-modify-write, used by
-// PIM_Scale).
-func (s *Store) Update(a isa.Addr, f func(lane int, old int32) int32) {
-	cur := s.Read(a)
-	out := make([]int32, s.lanes)
-	for i, v := range cur {
-		out[i] = f(i, v)
+// slot returns the writable lanes of a slot, creating its page on first
+// touch and marking the slot written.
+func (s *Store) slot(a isa.Addr) []int32 {
+	key, off := a>>pageShift, int(a&pageMask)
+	p := s.page(key)
+	if p == nil {
+		s.index[key] = len(s.pages)
+		s.pages = append(s.pages, page{key: key, data: make([]int32, pageSlots*s.lanes)})
+		p = &s.pages[len(s.pages)-1]
 	}
-	s.Write(a, out)
+	if bit := uint64(1) << off; p.written&bit == 0 {
+		p.written |= bit
+		s.touched++
+	}
+	return s.lanesOf(p, off)
 }
 
 // Touched returns the number of slots ever written.
-func (s *Store) Touched() int { return len(s.data) }
+func (s *Store) Touched() int { return s.touched }
 
 // Clone deep-copies the store (used to snapshot initial state for the
-// reference executor).
+// reference executor). It only reads s, so concurrent clones of one
+// store are safe. Each page is copied into its own allocation: every
+// page slab then has the same size, so the heap reuses freed pages
+// exactly instead of searching for one contiguous run per clone.
 func (s *Store) Clone() *Store {
-	c := NewStore(s.lanes)
-	for a, v := range s.data {
-		nv := make([]int32, s.lanes)
-		copy(nv, v)
-		c.data[a] = nv
+	c := &Store{lanes: s.lanes, index: maps.Clone(s.index), pages: make([]page, len(s.pages)), touched: s.touched}
+	for i, p := range s.pages {
+		c.pages[i] = page{key: p.key, data: slices.Clone(p.data), written: p.written}
 	}
 	return c
+}
+
+// zeros reports whether every lane of v is zero.
+func zeros(v []int32) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports whether two stores hold identical contents, treating
@@ -82,58 +136,66 @@ func (s *Store) Equal(o *Store) bool {
 	if s.lanes != o.lanes {
 		return false
 	}
-	zero := func(v []int32) bool {
-		for _, x := range v {
-			if x != 0 {
+	for i := range s.pages {
+		p := &s.pages[i]
+		if op := o.page(p.key); op != nil {
+			if !slices.Equal(p.data, op.data) {
 				return false
 			}
-		}
-		return true
-	}
-	for a, v := range s.data {
-		ov, ok := o.data[a]
-		if !ok {
-			if !zero(v) {
-				return false
-			}
-			continue
-		}
-		for i := range v {
-			if v[i] != ov[i] {
-				return false
-			}
+		} else if !zeros(p.data) {
+			return false
 		}
 	}
-	for a, ov := range o.data {
-		if _, ok := s.data[a]; !ok && !zero(ov) {
+	for i := range o.pages {
+		if op := &o.pages[i]; s.page(op.key) == nil && !zeros(op.data) {
 			return false
 		}
 	}
 	return true
 }
 
-// Diff returns up to max addresses whose contents differ between the two
-// stores, for diagnostics.
-func (s *Store) Diff(o *Store, max int) []isa.Addr {
-	var out []isa.Addr
-	seen := map[isa.Addr]bool{}
-	for a := range s.data {
-		seen[a] = true
+// Diff returns up to limit addresses whose contents differ between the two
+// stores, in ascending order, for diagnostics. Missing slots count as
+// zero; stores of different lane widths differ at every slot of every
+// page either holds.
+func (s *Store) Diff(o *Store, limit int) []isa.Addr {
+	keys := make([]isa.Addr, 0, len(s.pages)+len(o.pages))
+	for i := range s.pages {
+		keys = append(keys, s.pages[i].key)
 	}
-	for a := range o.data {
-		seen[a] = true
-	}
-	for a := range seen {
-		av, bv := s.Read(a), o.Read(a)
-		for i := range av {
-			if av[i] != bv[i] {
-				out = append(out, a)
-				break
-			}
+	for i := range o.pages {
+		if key := o.pages[i].key; s.page(key) == nil {
+			keys = append(keys, key)
 		}
-		if len(out) >= max {
+	}
+	slices.Sort(keys)
+	var out []isa.Addr
+	zero := make([]int32, max(s.lanes, o.lanes))
+	for _, key := range keys {
+		if len(out) >= limit {
 			break
+		}
+		p, op := s.page(key), o.page(key)
+		for off := 0; off < pageSlots && len(out) < limit; off++ {
+			if !slices.Equal(s.view(p, off, zero), o.view(op, off, zero)) {
+				out = append(out, key<<pageShift|isa.Addr(off))
+			}
 		}
 	}
 	return out
+}
+
+// isWritten reports whether slot off of a possibly absent page was ever
+// written.
+func (p *page) isWritten(off int) bool {
+	return p != nil && p.written&(1<<off) != 0
+}
+
+// view returns slot off of a possibly absent page, or s's lane width of
+// zero when the page is absent.
+func (s *Store) view(p *page, off int, zero []int32) []int32 {
+	if p == nil {
+		return zero[:s.lanes]
+	}
+	return s.lanesOf(p, off)
 }

@@ -148,6 +148,50 @@ func TestMachineNoPrimitiveIsFunctionallyIncorrect(t *testing.T) {
 	}
 }
 
+func TestMachineVerifyRepeatable(t *testing.T) {
+	// Verify replays into the machine's initial snapshot; calling it
+	// again must compare against the same reference, not replay twice.
+	// The in-place scale is not idempotent, so a second replay would
+	// show as a wrong answer.
+	scaled := func() *Machine {
+		cfg := smallConfig(config.PrimitiveNone)
+		geom := geomOf(cfg)
+		store := dram.NewStore(geom.LanesPerSlot)
+		a := geom.Encode(dram.Loc{Channel: 0})
+		store.Write(a, append(make([]int32, geom.LanesPerSlot-1), 3))
+		programs := []Program{
+			{Channel: 0, Instrs: []isa.Instr{{Kind: isa.KindPIMScale, Op: isa.OpScale, Addr: a, Count: 1, Imm: 2}}},
+			{Channel: 1},
+		}
+		m, err := NewMachine(cfg, store, programs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, m := range []*Machine{
+		runVectorAdd(t, config.PrimitiveOrderLight, 8),
+		runVectorAdd(t, config.PrimitiveNone, 8),
+		scaled(),
+	} {
+		prim := m.cfg.Run.Primitive
+		first := *m.Stats()
+		if !first.Verified {
+			t.Fatalf("%v: Run did not verify", prim)
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if again := m.Stats(); again.Correct != first.Correct || again.DiffSlots != first.DiffSlots {
+			t.Fatalf("%v: second Verify gave correct=%v diff=%d, first gave correct=%v diff=%d",
+				prim, again.Correct, again.DiffSlots, first.Correct, first.DiffSlots)
+		}
+	}
+}
+
 func TestMachineOrderLightFasterThanNone(t *testing.T) {
 	// OrderLight's cost over no ordering at all should be modest: the
 	// packets consume pipe slots but barely stall the core.

@@ -139,8 +139,8 @@ func (k *Kernel) buildChannel(cfg config.Config, geom dram.Geometry, spec Spec,
 			Col: idx % geom.SlotsPerRow,
 		})
 	}
+	vals := make([]int32, geom.LanesPerSlot) // reused: Write copies
 	initSlot := func(a isa.Addr, v, idx int) {
-		vals := make([]int32, geom.LanesPerSlot)
 		for l := range vals {
 			vals[l] = int32(1+v) * int32(100*ch+10*idx+l%7+1)
 		}

@@ -12,7 +12,8 @@ import (
 type Unit struct {
 	channel int
 	lanes   int
-	slots   [][]int32
+	slots   [][]int32 // views into one slab
+	scratch []int32   // PIM_Scale result buffer, after the slots in the slab
 	store   dram.Memory
 
 	// deferred holds commands whose functional execution has been
@@ -36,15 +37,18 @@ type deferredCmd struct {
 // the given backing memory (a *dram.Store, or a *dram.Overlay when the
 // parallel engine shards the machine by channel).
 func NewUnit(channel, nslots int, store dram.Memory) *Unit {
+	lanes := store.Lanes()
+	slab := make([]int32, (nslots+1)*lanes)
 	u := &Unit{
 		channel:  channel,
-		lanes:    store.Lanes(),
+		lanes:    lanes,
 		slots:    make([][]int32, nslots),
+		scratch:  slab[nslots*lanes:],
 		store:    store,
 		Executed: make(map[isa.Kind]int64),
 	}
 	for i := range u.slots {
-		u.slots[i] = make([]int32, u.lanes)
+		u.slots[i] = slab[i*lanes : (i+1)*lanes : (i+1)*lanes]
 	}
 	return u
 }
@@ -94,9 +98,10 @@ func (u *Unit) Exec(r isa.Request) error {
 	case isa.KindPIMStore:
 		u.store.Write(r.Addr, u.slots[r.TSlot])
 	case isa.KindPIMScale:
-		u.store.Update(r.Addr, func(_ int, old int32) int32 {
-			return r.Op.Apply(old, old, r.Imm)
-		})
+		for l, old := range u.store.Read(r.Addr) {
+			u.scratch[l] = r.Op.Apply(old, old, r.Imm)
+		}
+		u.store.Write(r.Addr, u.scratch)
 	case isa.KindPIMExec:
 		slot := u.slots[r.TSlot]
 		for l := range slot {

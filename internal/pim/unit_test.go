@@ -178,3 +178,45 @@ func TestReplayOrderSensitivityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// execKinds is one command of each PIM kind over written slots 0..3.
+var execKinds = []isa.Request{
+	{Kind: isa.KindPIMLoad, Addr: 0, TSlot: 0},
+	{Kind: isa.KindPIMCompute, Op: isa.OpAdd, Addr: 1, TSlot: 0},
+	{Kind: isa.KindPIMExec, Op: isa.OpMul, TSlot: 0, Imm: 3},
+	{Kind: isa.KindPIMStore, Addr: 2, TSlot: 0},
+	{Kind: isa.KindPIMScale, Op: isa.OpScale, Addr: 3, Imm: 1},
+}
+
+func newExecUnit() *Unit {
+	u, st := newTestUnit(2)
+	for a := isa.Addr(0); a < 4; a++ {
+		st.Write(a, []int32{1, 2, 3, 4})
+	}
+	return u
+}
+
+func TestUnitExecAllocs(t *testing.T) {
+	u := newExecUnit()
+	for _, r := range execKinds {
+		n := testing.AllocsPerRun(100, func() {
+			if err := u.Exec(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("Exec of %v on written slots allocated %.1f/op, want 0", r.Kind, n)
+		}
+	}
+}
+
+func BenchmarkUnitExec(b *testing.B) {
+	u := newExecUnit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := u.Exec(execKinds[i%len(execKinds)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
