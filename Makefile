@@ -13,19 +13,18 @@ COVER_FLOOR ?= 80.0
 FUZZTIME ?= 10s
 CKPT_FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race race-parallel smoke smoke-serve smoke-fabric smoke-chaos cover fuzz-smoke fuzz-ckpt calibrate check-twin speedup bench bench-compare profile results check-results clean
+.PHONY: ci vet build test race smoke smoke-serve smoke-fabric smoke-chaos cover fuzz-smoke fuzz-ckpt calibrate check-twin speedup bench bench-compare profile results check-results clean
 
 # ci is the tier-1 gate: vet, build, the full test suite under the race
-# detector (including the serve handler tests), the parallel-engine
-# suite under the race detector with shards forced past the core count,
-# a parallel-vs-sequential smoke of the CLIs, a daemon lifecycle smoke
+# detector (including the serve handler tests), a parallel-vs-sequential
+# and dense-vs-skip smoke of the CLIs, a daemon lifecycle smoke
 # (start → healthz → submit → SIGTERM drain → resume), a distributed
 # sweep-fabric smoke (coordinator + two workers + mid-run SIGKILL), the
 # chaos drill (the same fabric under seeded network+disk fault
 # injection plus a coordinator SIGKILL/restart), a brief run of the
 # checkpoint-decoder fuzzer (crash-safety is a tier-1 property), and
 # the twin-engine envelope gate (check-twin).
-ci: vet build race race-parallel smoke smoke-serve smoke-fabric smoke-chaos fuzz-ckpt check-twin
+ci: vet build race smoke smoke-serve smoke-fabric smoke-chaos fuzz-ckpt check-twin
 
 vet:
 	$(GO) vet ./...
@@ -39,26 +38,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-parallel runs every parallel-engine test (three-way parity,
-# event-stream identity, halt/resume, fault-campaign parity, the shard
-# pool) under the race detector. `race` above already covers these at
-# default shard counts; this target is the dedicated gate for the
-# intra-run engine's synchronization, kept separate so a data race in
-# the shard machinery is named by the target that failed.
-race-parallel:
-	$(GO) test -race -run 'Parallel|Pool|Overlay|FoldFrom|ThreeWay|Engine' \
-		./internal/experiments ./internal/runner ./internal/sim \
-		./internal/dram ./internal/stats ./internal/serve
-
 # smoke checks the two CLI contracts end to end: olsim exits non-zero
-# exactly when verification fails, and olbench's parallel sweep renders
-# byte-identical output to a sequential (-parallel 1) one.
+# exactly when verification fails (or names an engine that does not
+# exist), and olbench's parallel sweep and dense engine render
+# byte-identical output to a sequential (-parallel 1) skip-ahead one.
 smoke:
 	@$(GO) build -o /tmp/ol-smoke-olsim ./cmd/olsim
 	@$(GO) build -o /tmp/ol-smoke-olbench ./cmd/olbench
 	@/tmp/ol-smoke-olsim -kernel add -primitive orderlight -bytes $(SMOKE_SIZE) >/dev/null
 	@if /tmp/ol-smoke-olsim -kernel add -primitive none -bytes $(SMOKE_SIZE) >/dev/null 2>&1; then \
 		echo "smoke: FAIL: incorrect run did not exit non-zero"; exit 1; fi
+	@/tmp/ol-smoke-olsim -kernel add -engine parallel -bytes $(SMOKE_SIZE) >/dev/null 2>&1; st=$$?; \
+	if [ $$st -ne 1 ]; then \
+		echo "smoke: FAIL: -engine parallel exited $$st, want 1 (engine removed)"; exit 1; fi
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -parallel 1 >$$tmp/seq.md 2>$$tmp/seq.log; \
 	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) >$$tmp/par.md 2>$$tmp/par.log; \
@@ -67,12 +59,8 @@ smoke:
 	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -dense >$$tmp/dense.md 2>$$tmp/dense.log; \
 	diff $$tmp/seq.md $$tmp/dense.md >/dev/null || { \
 		echo "smoke: FAIL: dense-engine output differs from skip-ahead"; exit 1; }; \
-	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -engine parallel -shards 4 \
-		>$$tmp/pareng.md 2>$$tmp/pareng.log; \
-	diff $$tmp/seq.md $$tmp/pareng.md >/dev/null || { \
-		echo "smoke: FAIL: parallel-engine output differs from skip-ahead"; exit 1; }; \
 	cat $$tmp/seq.log $$tmp/par.log; \
-	echo "smoke: OK (worker-pool, dense-engine and parallel-engine output byte-identical)"
+	echo "smoke: OK (worker-pool and dense-engine output byte-identical)"
 	@$(GO) build -o /tmp/ol-smoke-olfault ./cmd/olfault
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	/tmp/ol-smoke-olfault -seed 1 -campaign default >$$tmp/a.md || { \

@@ -2,7 +2,6 @@ package orderlight
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -57,26 +56,11 @@ func runExperimentDense(b *testing.B, id string) {
 	}
 }
 
-// runExperimentParallel is runExperiment on the intra-run parallel
-// engine. Each Parallel benchmark pairs with its plain counterpart the
-// way the Dense ones do; cmd/benchjson derives the parallel-vs-skip
-// speedup from the pair. shards <= 0 uses min(GOMAXPROCS, channels).
-func runExperimentParallel(b *testing.B, id string, shards int) {
-	b.Helper()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperimentContext(context.Background(), id, cfg,
-			WithScale(benchScale), WithParallelEngine(), WithParallelShards(shards)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // runExperimentTwin is runExperiment on the calibrated analytical twin.
 // Each Twin benchmark pairs with its plain counterpart; cmd/benchjson
 // derives the twin-vs-skip speedup from the pair, which is the µs-per-
-// cell trajectory the benchmark record tracks. Unlike the Dense and
-// Parallel pairs the outputs are approximate, not byte-identical — the
+// cell trajectory the benchmark record tracks. Unlike the Dense pairs
+// the outputs are approximate, not byte-identical — the
 // speedup is what the recorded error bounds buy. Skips when the
 // committed calibration artifact is absent (make calibrate).
 func runExperimentTwin(b *testing.B, id string) {
@@ -108,10 +92,6 @@ func BenchmarkFig5FenceOverhead(b *testing.B) {
 // BenchmarkFig5FenceOverheadDense is Figure 5 on the dense reference
 // engine (skip-ahead disabled).
 func BenchmarkFig5FenceOverheadDense(b *testing.B) { runExperimentDense(b, "fig5") }
-
-// BenchmarkFig5FenceOverheadParallel is Figure 5 on the intra-run
-// parallel engine (per-channel goroutine shards, byte-identical output).
-func BenchmarkFig5FenceOverheadParallel(b *testing.B) { runExperimentParallel(b, "fig5", 0) }
 
 // BenchmarkFig5FenceOverheadTwin is Figure 5 answered by the calibrated
 // analytical twin — no cycles simulated, approximate within recorded
@@ -147,10 +127,6 @@ func BenchmarkFig10aStreamBandwidth(b *testing.B) {
 	runExperiment(b, "fig10a", 17, 3, "addOL-GC/s@1/8RB")
 }
 
-// BenchmarkFig10aStreamBandwidthParallel is Figure 10a on the intra-run
-// parallel engine.
-func BenchmarkFig10aStreamBandwidthParallel(b *testing.B) { runExperimentParallel(b, "fig10a", 0) }
-
 // BenchmarkFig10bStreamTime regenerates Figure 10b and reports the Add
 // kernel's OrderLight speedup over the GPU at 1/8 RB.
 func BenchmarkFig10bStreamTime(b *testing.B) {
@@ -173,27 +149,9 @@ func BenchmarkFig12Applications(b *testing.B) {
 // engine.
 func BenchmarkFig12ApplicationsDense(b *testing.B) { runExperimentDense(b, "fig12") }
 
-// BenchmarkFig12ApplicationsParallel is Figure 12 on the intra-run
-// parallel engine.
-func BenchmarkFig12ApplicationsParallel(b *testing.B) { runExperimentParallel(b, "fig12", 0) }
-
 // BenchmarkFig12ApplicationsTwin is Figure 12 answered by the
 // calibrated analytical twin.
 func BenchmarkFig12ApplicationsTwin(b *testing.B) { runExperimentTwin(b, "fig12") }
-
-// BenchmarkFig12ShardSweep sweeps the parallel engine's shard count on
-// the Figure 12 regeneration — the GOMAXPROCS-sensitivity curve.
-// Results are byte-identical at every point; only wall time moves, and
-// on a single-CPU machine the curve is flat-to-worse, which is the
-// honest number (shards beyond the core count only add barrier
-// overhead). cmd/benchjson -scaling renders the curve for results_all.md.
-func BenchmarkFig12ShardSweep(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			runExperimentParallel(b, "fig12", shards)
-		})
-	}
-}
 
 // BenchmarkFig13BMFSweep regenerates Figure 13 and reports the BMF-4
 // OrderLight-over-fence ratio at 1/16 RB.
@@ -317,31 +275,6 @@ func BenchmarkMachineAddFenceDense(b *testing.B) {
 	cfg.Run.Primitive = PrimitiveFence
 	for i := 0; i < b.N; i++ {
 		if _, err := RunKernelContext(context.Background(), cfg, "add", 16<<10, WithDenseEngine()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMachineAddOrderLightParallel is the OrderLight machine run
-// on the intra-run parallel engine.
-func BenchmarkMachineAddOrderLightParallel(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Run.Primitive = PrimitiveOrderLight
-	for i := 0; i < b.N; i++ {
-		if _, err := RunKernelContext(context.Background(), cfg, "add", 32<<10, WithParallelEngine()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMachineAddFenceParallel is the fence machine run on the
-// intra-run parallel engine. Fence mode fires far more clock edges, so
-// this pair is where the per-tick barrier cost shows.
-func BenchmarkMachineAddFenceParallel(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Run.Primitive = PrimitiveFence
-	for i := 0; i < b.N; i++ {
-		if _, err := RunKernelContext(context.Background(), cfg, "add", 16<<10, WithParallelEngine()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@
 //	olbench -exp all -format csv       # everything, CSV
 //	olbench -exp all -progress         # live cell counter on stderr
 //	olbench -exp all -parallel 1       # sequential reference run
-//	olbench -exp fig12 -engine parallel # sharded intra-run engine, identical output
+//	olbench -exp fig12 -engine dense   # dense parity-reference engine, identical output
 //	olbench -exp fig12 -engine twin -calibration calibration.olcal -escalate  # analytical twin, approximate
 //	olbench -exp fig12 -size 262144    # bigger per-channel footprint
 //	olbench -exp all -manifest         # attach provenance manifests
@@ -185,7 +185,6 @@ func main() {
 			Parallelism:     *parallel,
 			Dense:           eng.Dense,
 			Engine:          eng.Name,
-			Shards:          eng.Shards,
 			Escalate:        eng.Escalate,
 			NoKernelCache:   !*cache,
 			BytesPerChannel: *size,

@@ -4,8 +4,7 @@
 // In campaign mode (the default) it executes the kernel × fault-class
 // × seed grid of the "fault-campaign" experiment and prints the verdict
 // matrix. Output is deterministic: the same seed yields byte-identical
-// matrices across runs and across the dense, skip-ahead and parallel
-// engines.
+// matrices across runs and across the dense and skip-ahead engines.
 // olfault exits 0 only when the campaign sees zero escapes AND the
 // pinned Figure 5 reproduction (drop/fence on add at full rate) is
 // detected; any escape — a wrong answer the simulator's own

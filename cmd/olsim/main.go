@@ -12,7 +12,7 @@
 //	olsim -kernel add -primitive orderlight -ts 1/8
 //	olsim -kernel kmeans -primitive fence -bytes 262144
 //	olsim -kernel add -primitive none -verify=false  # incorrect-run demo
-//	olsim -kernel add -engine parallel               # sharded engine, identical output
+//	olsim -kernel add -engine dense                  # dense parity-reference engine, identical output
 //	olsim -kernel add -trace-out run.json            # Perfetto trace
 //	olsim -kernel add -sample-every 1000 -sample-out run.csv
 //	olsim -kernel add -checkpoint-dir ck -stop-after 50000  # halt with a checkpoint (exit 3)

@@ -87,12 +87,10 @@ func (c *Cache) Active() bool { return c.Dir != "" }
 // the option bag verbatim so the library's single validation gate
 // rejects them with the same message everywhere.
 type Engine struct {
-	// Name is -engine: "", "skip", "dense", "parallel" or "twin".
+	// Name is -engine: "", "skip", "dense" or "twin".
 	Name string
 	// Dense is -dense, the pre-existing shorthand for -engine=dense.
 	Dense bool
-	// Shards is -shards, the parallel engine's shard-count cap.
-	Shards int
 	// Calibration is -calibration, the twin engine's artifact path.
 	Calibration string
 	// Escalate is -escalate, the twin engine's out-of-confidence
@@ -100,16 +98,14 @@ type Engine struct {
 	Escalate bool
 }
 
-// RegisterEngine installs -engine, -dense, -shards, -calibration and
-// -escalate on fs.
+// RegisterEngine installs -engine, -dense, -calibration and -escalate
+// on fs.
 func RegisterEngine(fs *flag.FlagSet) *Engine {
 	e := &Engine{}
 	fs.StringVar(&e.Name, "engine", "",
-		"simulation engine: skip (default), dense (naive parity reference) or parallel (per-channel goroutine sharding) — byte-identical results — or twin (calibrated analytical model; microsecond approximate answers with recorded error bounds)")
+		"simulation engine: skip (default) or dense (naive parity reference) — byte-identical results — or twin (calibrated analytical model; microsecond approximate answers with recorded error bounds)")
 	fs.BoolVar(&e.Dense, "dense", false,
 		"shorthand for -engine=dense")
-	fs.IntVar(&e.Shards, "shards", 0,
-		"parallel engine shard count (0 = min(GOMAXPROCS, channels); needs -engine=parallel)")
 	fs.StringVar(&e.Calibration, "calibration", "",
 		"calibration artifact for the twin engine (needs -engine=twin; regenerate with `make calibrate`)")
 	fs.BoolVar(&e.Escalate, "escalate", false,
@@ -125,9 +121,6 @@ func (e *Engine) Options() []orderlight.Option {
 	}
 	if e.Name != "" {
 		opts = append(opts, orderlight.WithEngine(e.Name))
-	}
-	if e.Shards != 0 {
-		opts = append(opts, orderlight.WithParallelShards(e.Shards))
 	}
 	if e.Calibration != "" {
 		opts = append(opts, orderlight.WithCalibration(e.Calibration))
@@ -176,14 +169,12 @@ func (c *Chaos) Plan(logf func(format string, args ...any)) (*orderlight.ChaosPl
 }
 
 // EngineName returns the engine the flags select, for labeling output:
-// "dense", "parallel", "twin", or "skip" (also for unknown names,
+// "dense", "twin", or "skip" (also for unknown names,
 // which never reach a run — validation rejects them first).
 func (e *Engine) EngineName() string {
 	switch {
 	case e.Dense || e.Name == "dense":
 		return "dense"
-	case e.Name == "parallel":
-		return "parallel"
 	case e.Name == "twin":
 		return "twin"
 	}

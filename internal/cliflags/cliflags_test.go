@@ -73,7 +73,6 @@ func TestEngineGroup(t *testing.T) {
 		{nil, "skip", 0},
 		{[]string{"-dense"}, "dense", 1},
 		{[]string{"-engine", "dense"}, "dense", 1},
-		{[]string{"-engine", "parallel", "-shards", "4"}, "parallel", 2},
 		{[]string{"-engine", "twin", "-calibration", "cal.olcal", "-escalate"}, "twin", 3},
 		{[]string{"-engine", "bogus"}, "skip", 1}, // travels verbatim; validation rejects it later
 	}

@@ -32,7 +32,7 @@ type page struct {
 // answer.
 //
 // Concurrent Read and Clone calls on a store nobody writes are safe;
-// the kernel cache and the parallel engine's overlays rely on that.
+// the runner's kernel cache relies on that.
 type Store struct {
 	lanes   int
 	index   map[isa.Addr]int // page number -> position in pages

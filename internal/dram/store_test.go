@@ -197,9 +197,8 @@ func TestStoreLaneWidthsNeverEqual(t *testing.T) {
 }
 
 func TestStoreConcurrentCloneAndRead(t *testing.T) {
-	// The runner's kernel cache clones one store from concurrent cells
-	// and the parallel engine's overlays read one base store from every
-	// shard: Clone and Read must only read. Run under -race.
+	// The runner's kernel cache clones one store from concurrent cells:
+	// Clone and Read must only read. Run under -race.
 	s := NewStore(4)
 	for a := isa.Addr(0); a < 3*pageSlots; a += 3 {
 		s.Write(a, []int32{int32(a), 1, 2, 3})

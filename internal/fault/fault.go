@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 )
 
 // Class enumerates the ordering-violation families the injector can
@@ -189,14 +188,15 @@ func (p Point) String() string {
 // methods are pure and nil-safe — a nil *Plan always answers "no
 // fault" — so component hot paths need no plan-presence branches.
 // Recording methods count injections as they actually happen. A Plan
-// belongs to exactly one machine run; counters are atomic so the
-// parallel engine's channel shards can record concurrently. Decisions
-// themselves are stateless seed hashes, so plans stay engine-neutral.
+// belongs to exactly one machine run and is not safe for concurrent
+// use: the run records on its own goroutine and Report is read after
+// it. Decisions themselves are stateless seed hashes, so plans stay
+// engine-neutral.
 type Plan struct {
 	spec      Spec
 	threshold uint64
 	delay     int64
-	counts    [pointCount]atomic.Int64
+	counts    PointCounts
 }
 
 // NewPlan materializes a spec into a live plan.
@@ -280,7 +280,7 @@ func (p *Plan) RecordN(pt Point, n int64) {
 	if p == nil || n <= 0 {
 		return
 	}
-	p.counts[pt].Add(n)
+	p.counts[pt] += n
 }
 
 // Injections returns the total number of faults actually injected so
@@ -290,8 +290,8 @@ func (p *Plan) Injections() int64 {
 		return 0
 	}
 	var n int64
-	for i := range p.counts {
-		n += p.counts[i].Load()
+	for _, c := range p.counts {
+		n += c
 	}
 	return n
 }
@@ -302,14 +302,10 @@ type PointCounts [pointCount]int64
 
 // Counts returns the plan's injection counters.
 func (p *Plan) Counts() PointCounts {
-	var out PointCounts
 	if p == nil {
-		return out
+		return PointCounts{}
 	}
-	for i := range p.counts {
-		out[i] = p.counts[i].Load()
-	}
-	return out
+	return p.counts
 }
 
 // SetCounts replaces the plan's injection counters (checkpoint resume).
@@ -317,9 +313,7 @@ func (p *Plan) SetCounts(c PointCounts) {
 	if p == nil {
 		return
 	}
-	for i := range p.counts {
-		p.counts[i].Store(c[i])
-	}
+	p.counts = c
 }
 
 // Report snapshots the plan's injection accounting.

@@ -46,7 +46,6 @@ type Machine struct {
 	sink    obs.Sink       // optional; see SetSink
 	sampler *stats.Sampler // optional; see SetSampler
 	fplan   *fault.Plan    // optional; see SetFaultPlan
-	par     *parState      // optional; see SetParallel
 
 	ckptEvery int64        // checkpoint cadence in core cycles; see SetCheckpoint
 	ckptFn    func() error // checkpoint writer, runs between engine steps
@@ -555,10 +554,6 @@ func (m *Machine) completeHost(r isa.Request) {
 
 // coreTick advances everything in the 1200 MHz core domain.
 func (m *Machine) coreTick() {
-	if m.par != nil && m.par.installed {
-		m.coreTickPar()
-		return
-	}
 	now := m.eng.Now()
 	if m.sampler != nil {
 		m.sampler.ObserveCycle(now)
@@ -598,10 +593,6 @@ func (m *Machine) coreTick() {
 
 // memTick advances the 850 MHz memory domain.
 func (m *Machine) memTick(cycle int64) {
-	if m.par != nil && m.par.installed {
-		m.memTickPar(cycle)
-		return
-	}
 	now := m.eng.Now()
 	for ch, mc := range m.mcs {
 		if r, ok := m.l2dram[ch].Peek(now); ok && mc.CanAccept(r) {
@@ -759,17 +750,12 @@ func (m *Machine) Run() (*stats.Run, error) {
 	if !m.resumed {
 		m.st.Start = m.eng.Now()
 	}
-	if m.par != nil {
-		m.parInstall()
-		defer m.parUninstall()
-	}
 	var err error
 	if m.ckptFn != nil || m.haltAfter > 0 || m.abort != nil {
 		err = m.runWindowed(deadline)
 	} else {
 		err = m.eng.Run(m.done, deadline)
 	}
-	m.foldPar()
 	if err != nil {
 		return m.st, err
 	}
@@ -792,7 +778,6 @@ func (m *Machine) Run() (*stats.Run, error) {
 // A replay error comes from a malformed command, not from the data, so
 // it recurs on every call.
 func (m *Machine) Verify() error {
-	m.foldPar()
 	if !m.replayed {
 		nslots := m.cfg.CommandsPerTile() * m.cfg.Memory.GroupsPerChannel
 		for _, p := range m.programs {

@@ -174,9 +174,6 @@ func (c *OoOCore) restore(st OoOState) error {
 // only be called between engine steps (never from inside a tick) — the
 // checkpoint hook and the post-halt path satisfy this by construction.
 func (m *Machine) CaptureState() *MachineState {
-	// Under the parallel engine, per-channel counters and overlay deltas
-	// must land in the global accumulators before they are snapshotted.
-	m.foldPar()
 	s := &MachineState{
 		Engine: m.eng.State(),
 		Stats:  m.st.Snapshot(),

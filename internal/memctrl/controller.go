@@ -123,12 +123,6 @@ func New(channel int, cfg config.Config, geom dram.Geometry, store *dram.Store, 
 // Unit exposes the channel's PIM unit (for result verification).
 func (c *Controller) Unit() *pim.Unit { return c.unit }
 
-// SetStats redirects the controller's statistics counters to st. The
-// parallel engine points each channel at a private stats.Run so shards
-// can count concurrently, then folds the privates into the machine's
-// run; counters are plain sums, so folding is exact.
-func (c *Controller) SetStats(st *stats.Run) { c.st = st }
-
 // Tracker exposes the ordering tracker (for tests).
 func (c *Controller) Tracker() *core.Tracker { return c.tracker }
 

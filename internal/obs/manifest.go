@@ -25,7 +25,7 @@ type Manifest struct {
 	BytesPerChannel int64   `json:"bytes_per_channel"`   // data footprint
 	HostBaseline    bool    `json:"host_baseline"`       // host-streaming cell, not a PIM kernel
 	ConfigHash      string  `json:"config_hash"`         // ConfigHash of the full config
-	Engine          string  `json:"engine"`              // "skip", "dense", "parallel" or "twin"
+	Engine          string  `json:"engine"`              // "skip", "dense" or "twin"
 	WallMS          float64 `json:"wall_ms"`             // host wall-clock time of the cell
 	GoVersion       string  `json:"go_version"`          // runtime.Version()
 	CacheKey        string  `json:"cache_key,omitempty"` // result-cache content address, when a cache was armed
@@ -56,16 +56,12 @@ func ConfigHash(cfg config.Config) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// EngineName names the engine variant for manifests and checkpoint
-// metadata. The parallel engine shares skip-ahead clocking but shards
-// each tick, so it gets its own name — a checkpoint resumes on the
-// engine that wrote it.
-func EngineName(dense, parallel bool) string {
-	switch {
-	case dense:
+// EngineName names the cycle engine for manifests, checkpoint metadata
+// and result-cache keys — a checkpoint resumes on the engine that
+// wrote it.
+func EngineName(dense bool) string {
+	if dense {
 		return "dense"
-	case parallel:
-		return "parallel"
 	}
 	return "skip"
 }

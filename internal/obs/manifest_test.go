@@ -45,7 +45,7 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 		BytesPerChannel: 128 << 10,
 		HostBaseline:    false,
 		ConfigHash:      ConfigHash(config.Default()),
-		Engine:          EngineName(false, false),
+		Engine:          EngineName(false),
 		WallMS:          12.5,
 		GoVersion:       "go1.24.0",
 	}
@@ -60,17 +60,15 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 
 func TestEngineName(t *testing.T) {
 	cases := []struct {
-		dense, parallel bool
-		want            string
+		dense bool
+		want  string
 	}{
-		{false, false, "skip"},
-		{true, false, "dense"},
-		{false, true, "parallel"},
-		{true, true, "dense"}, // dense wins; the runner rejects the combination upstream
+		{false, "skip"},
+		{true, "dense"},
 	}
 	for _, c := range cases {
-		if got := EngineName(c.dense, c.parallel); got != c.want {
-			t.Errorf("EngineName(%v, %v) = %s, want %s", c.dense, c.parallel, got, c.want)
+		if got := EngineName(c.dense); got != c.want {
+			t.Errorf("EngineName(%v) = %s, want %s", c.dense, got, c.want)
 		}
 	}
 }

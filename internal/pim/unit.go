@@ -14,7 +14,7 @@ type Unit struct {
 	lanes   int
 	slots   [][]int32 // views into one slab
 	scratch []int32   // PIM_Scale result buffer, after the slots in the slab
-	store   dram.Memory
+	store   *dram.Store
 
 	// deferred holds commands whose functional execution has been
 	// pushed into the future (fault injection: delayed write-back
@@ -34,9 +34,8 @@ type deferredCmd struct {
 }
 
 // NewUnit creates a PIM unit with nslots temporary-storage slots over
-// the given backing memory (a *dram.Store, or a *dram.Overlay when the
-// parallel engine shards the machine by channel).
-func NewUnit(channel, nslots int, store dram.Memory) *Unit {
+// the given backing store.
+func NewUnit(channel, nslots int, store *dram.Store) *Unit {
 	lanes := store.Lanes()
 	slab := make([]int32, (nslots+1)*lanes)
 	u := &Unit{
@@ -55,17 +54,6 @@ func NewUnit(channel, nslots int, store dram.Memory) *Unit {
 
 // Slots returns the temporary-storage capacity in slots.
 func (u *Unit) Slots() int { return len(u.slots) }
-
-// SetMemory swaps the unit's backing memory. The parallel engine uses
-// it to point the unit at a per-channel overlay for the duration of a
-// run and back at the master store afterwards; the lane width must
-// match the one the unit was built with.
-func (u *Unit) SetMemory(m dram.Memory) {
-	if m.Lanes() != u.lanes {
-		panic("pim: SetMemory with mismatched lane count")
-	}
-	u.store = m
-}
 
 // Slot returns a copy of a TS slot's contents, for tests.
 func (u *Unit) Slot(i int) []int32 {

@@ -8,12 +8,9 @@
 // key names everything the payload depends on. The runner keys a cell
 // result by the manifest's sha256 config hash (which covers the seed)
 // plus the kernel spec, per-channel footprint, host/traffic variant,
-// and engine name — and deliberately not the shard count, because the
-// parallel engine is gated byte-identical at every shard count, so a
-// result computed at -shards 8 may legally answer a -shards 2 lookup.
-// A parity test (TestCellCacheEngineShardParity in the experiments
-// package) enforces that cached results really are engine- and
-// shard-independent.
+// and engine name. A parity test (TestCellCacheEngineParity in the
+// experiments package) enforces that cached results really are
+// engine-independent.
 //
 // # Layout
 //

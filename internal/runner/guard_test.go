@@ -62,26 +62,3 @@ func TestSingleCellGuardNamesOption(t *testing.T) {
 		t.Errorf("single-cell run with sink and sampler failed: %v", err)
 	}
 }
-
-// TestEngineConflictGuardNamesOptions pins the dense+parallel conflict
-// message to the same standard as the single-cell guards: it must name
-// both facade options and the flag spelling that picks one engine.
-func TestEngineConflictGuardNamesOptions(t *testing.T) {
-	_, err := New(Options{DenseEngine: true, ParallelEngine: true}).Run(context.Background(), testCells(t))
-	if err == nil {
-		t.Fatal("run with two engines selected succeeded")
-	}
-	if !errors.Is(err, olerrors.ErrInvalidSpec) {
-		t.Errorf("error %v is not classified as ErrInvalidSpec", err)
-	}
-	for _, want := range []string{"WithDenseEngine", "WithParallelEngine", "-engine=dense|skip|parallel"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not contain %q", err, want)
-		}
-	}
-
-	// Either engine alone is legal, with or without a shard override.
-	if _, err := New(Options{ParallelEngine: true, ParallelShards: 2}).Run(context.Background(), testCells(t)); err != nil {
-		t.Errorf("parallel-engine run failed: %v", err)
-	}
-}

@@ -31,14 +31,15 @@ type CellResult struct {
 // timing/geometry knob), the kernel spec, the per-channel footprint,
 // the host/traffic variant, and the engine name. Deliberately absent:
 // the cell's display Key (identical cells in different experiments
-// share one entry), the shard count (N-shard output is gated
-// byte-identical to 1-shard, so any shard count may answer any other —
-// TestCellCacheEngineShardParity holds this honest), and the
-// checkpoint/retry knobs (they cannot change a completed result).
+// share one entry) and the checkpoint/retry knobs (they cannot change a
+// completed result). The engine name stays in the key even though the
+// dense and skip engines are gated byte-identical — a cache must never
+// be what hides a parity break; TestCellCacheEngineParity holds this
+// honest.
 func (e *Engine) cellCacheKey(c *Cell) string {
 	return fmt.Sprintf("cell|v%d|%s|%#v|%d|%t|%#v|%s",
 		cellResultVersion, obs.ConfigHash(c.Cfg), c.Spec, c.Bytes, c.Host, c.Traffic,
-		obs.EngineName(e.dense, e.parallel))
+		obs.EngineName(e.dense))
 }
 
 // cacheableCell reports whether a cell's result may be served from or

@@ -52,9 +52,13 @@ func (e *Engine) sweepTemps() {
 // belong to. Identity is the cell hash (covering config, spec,
 // footprint, traffic and fault plan), the config hash as a second
 // opinion, and the engine flavor — a checkpoint resumes on the engine
-// that wrote it.
+// that wrote it. A file from the removed parallel engine has no engine
+// left to resume on, so it is refused with that reason.
 func validateMeta(got, want ckpt.Meta) error {
 	switch {
+	case got.Engine == "parallel":
+		return fmt.Errorf("runner: %w: file was written by the parallel engine, which has been removed; delete the checkpoint and rerun the cell from the start",
+			olerrors.ErrCheckpointMismatch)
 	case got.CellHash != want.CellHash:
 		return fmt.Errorf("runner: %w: file belongs to cell %q (%s), this run is cell %q (%s)",
 			olerrors.ErrCheckpointMismatch, got.Cell, got.CellHash, want.Cell, want.CellHash)

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -294,6 +295,40 @@ func TestResumeRefusesEngineMismatch(t *testing.T) {
 	_, err := New(Options{CheckpointDir: dir, Resume: true, DenseEngine: true}).Run(ctx, cells)
 	if !errors.Is(err, olerrors.ErrCheckpointMismatch) {
 		t.Fatalf("engine-mismatch resume error = %v, want ErrCheckpointMismatch", err)
+	}
+}
+
+// TestResumeRefusesRemovedEngine resumes a halted cell whose checkpoint
+// names the removed parallel engine: the resume must be refused with a
+// message telling the caller to discard the file, since no engine is
+// left that could continue it.
+func TestResumeRefusesRemovedEngine(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	cells := oneCell(t)
+	if _, err := New(Options{CheckpointDir: dir, HaltAfterCycles: 200}).Run(ctx, cells); !errors.Is(err, olerrors.ErrHalted) {
+		t.Fatalf("halted sweep error = %v, want ErrHalted", err)
+	}
+	path := filepath.Join(dir, cellHash(&cells[0])+".ckpt")
+	ck, err := ckpt.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Meta.Engine = "parallel"
+	if err := ckpt.Save(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Options{CheckpointDir: dir, Resume: true}).Run(ctx, cells)
+	if !errors.Is(err, olerrors.ErrCheckpointMismatch) {
+		t.Fatalf("removed-engine resume error = %v, want ErrCheckpointMismatch", err)
+	}
+	for _, want := range []string{"parallel engine", "removed", "delete the checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "matching engine") {
+		t.Errorf("error %q asks for a matching engine that no longer exists", err)
 	}
 }
 

@@ -108,18 +108,6 @@ type Options struct {
 	// dense engine is the parity reference and a debugging escape hatch.
 	DenseEngine bool
 
-	// ParallelEngine runs every cell on the intra-run parallel engine:
-	// skip-ahead clocking with each fired edge's per-channel work sharded
-	// across goroutines and merged deterministically. Results are
-	// byte-identical to the other engines. Mutually exclusive with
-	// DenseEngine.
-	ParallelEngine bool
-
-	// ParallelShards caps the parallel engine's shard count; <= 0 picks
-	// min(GOMAXPROCS, channels). Only meaningful with ParallelEngine;
-	// results are byte-identical for every value.
-	ParallelShards int
-
 	// TraceSink, when set, streams every machine event (stage crossings,
 	// DRAM commands, warp stalls, skip credits) from the run into the
 	// sink. Only legal for single-cell Run calls: a multi-cell sweep
@@ -209,8 +197,6 @@ type Engine struct {
 	par      int
 	progress func(done, total int)
 	dense    bool
-	parallel bool
-	shards   int
 	cache    *kernelCache
 	sink     obs.Sink
 	sampler  *stats.Sampler
@@ -250,8 +236,6 @@ func New(opts Options) *Engine {
 		par:       opts.Parallelism,
 		progress:  opts.Progress,
 		dense:     opts.DenseEngine,
-		parallel:  opts.ParallelEngine,
-		shards:    opts.ParallelShards,
 		sink:      opts.TraceSink,
 		sampler:   opts.Sampler,
 		manifest:  opts.Manifest,
@@ -292,19 +276,13 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 // context yields an error wrapping olerrors.ErrCanceled unless a
 // non-cancellation failure happened first.
 func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
-	if e.dense && e.parallel {
-		// Name both options, like the single-cell guards below: the caller
-		// must drop WithDenseEngine or WithParallelEngine, not guess.
-		return nil, fmt.Errorf("runner: %w: WithDenseEngine and WithParallelEngine pick conflicting engines; choose one of -engine=dense|skip|parallel",
-			olerrors.ErrInvalidSpec)
-	}
 	if e.twinEng {
 		// The twin is an approximation, not a simulation: every option
 		// that observes or steers a real run is meaningless under it and
 		// silently wrong to ignore, so each conflict is named and refused.
 		switch {
-		case e.dense || e.parallel:
-			return nil, fmt.Errorf("runner: %w: TwinEngine conflicts with the dense/parallel cycle engines; choose one of -engine=twin|dense|skip|parallel",
+		case e.dense:
+			return nil, fmt.Errorf("runner: %w: TwinEngine conflicts with the dense cycle engine; choose one of -engine=twin|dense|skip",
 				olerrors.ErrInvalidSpec)
 		case e.sink != nil:
 			return nil, fmt.Errorf("runner: %w: WithTraceSink needs a real simulation; the twin engine produces no events",
@@ -526,9 +504,6 @@ func (e *Engine) runCell(c *Cell, hash string, stop *atomic.Bool) (res Result, e
 	if e.dense {
 		m.SetDense(true)
 	}
-	if e.parallel {
-		m.SetParallel(e.shards)
-	}
 	if e.sink != nil {
 		m.SetSink(e.sink)
 	}
@@ -548,7 +523,7 @@ func (e *Engine) runCell(c *Cell, hash string, stop *atomic.Bool) (res Result, e
 		path := e.ckptPath(hash)
 		meta := ckpt.Meta{
 			CellHash: hash, Cell: c.Key, Kernel: c.Spec.Name,
-			ConfigHash: obs.ConfigHash(c.Cfg), Engine: obs.EngineName(e.dense, e.parallel),
+			ConfigHash: obs.ConfigHash(c.Cfg), Engine: obs.EngineName(e.dense),
 			Seed: c.Cfg.Run.Seed, Bytes: c.Bytes, Fault: c.Fault.String(),
 			Host: c.Host, Traffic: c.Traffic.PerChannel > 0,
 		}
@@ -625,7 +600,7 @@ func (e *Engine) newManifest(c *Cell, wallMS float64) *obs.Manifest {
 		BytesPerChannel: c.Bytes,
 		HostBaseline:    c.Host,
 		ConfigHash:      obs.ConfigHash(c.Cfg),
-		Engine:          obs.EngineName(e.dense, e.parallel),
+		Engine:          obs.EngineName(e.dense),
 		WallMS:          wallMS,
 		GoVersion:       runtime.Version(),
 	}

@@ -84,12 +84,7 @@ func TestTwinEngineGuards(t *testing.T) {
 		{
 			name: "dense conflict",
 			opts: Options{TwinEngine: true, Twin: pred, DenseEngine: true},
-			want: "-engine=twin|dense|skip|parallel",
-		},
-		{
-			name: "parallel conflict",
-			opts: Options{TwinEngine: true, Twin: pred, ParallelEngine: true},
-			want: "-engine=twin|dense|skip|parallel",
+			want: "-engine=twin|dense|skip",
 		},
 		{
 			name: "trace sink",

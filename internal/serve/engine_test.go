@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -9,9 +11,9 @@ import (
 )
 
 // TestValidateEngine pins engine-field validation on the job wire
-// format: unknown engine names are rejected at admission (never mapped
-// to a default engine), conflicting selections are rejected, and the
-// shard override demands the parallel engine.
+// format: unknown engine names — including the removed "parallel" —
+// are rejected at admission (never mapped to a default engine), and
+// conflicting selections are rejected.
 func TestValidateEngine(t *testing.T) {
 	cases := []struct {
 		name string
@@ -21,17 +23,13 @@ func TestValidateEngine(t *testing.T) {
 		{"default", RunOpts{}, ""},
 		{"skip", RunOpts{Engine: "skip"}, ""},
 		{"dense", RunOpts{Engine: "dense"}, ""},
-		{"parallel", RunOpts{Engine: "parallel"}, ""},
-		{"parallel with shards", RunOpts{Engine: "parallel", Shards: 4}, ""},
+		{"parallel", RunOpts{Engine: "parallel"}, `unknown engine "parallel" (want skip|dense|twin)`},
 		{"dense flag", RunOpts{Dense: true}, ""},
 		{"dense flag with dense engine", RunOpts{Dense: true, Engine: "dense"}, ""},
 		{"unknown engine", RunOpts{Engine: "turbo"}, `unknown engine "turbo"`},
 		{"misspelled engine", RunOpts{Engine: "Skip"}, `unknown engine "Skip"`},
 		{"dense flag vs skip engine", RunOpts{Dense: true, Engine: "skip"}, "conflicts with engine"},
-		{"dense flag vs parallel engine", RunOpts{Dense: true, Engine: "parallel"}, "conflicts with engine"},
-		{"negative shards", RunOpts{Engine: "parallel", Shards: -1}, "negative"},
-		{"shards without parallel", RunOpts{Shards: 4}, "needs the parallel engine"},
-		{"shards on dense", RunOpts{Engine: "dense", Shards: 4}, "needs the parallel engine"},
+		{"dense flag vs parallel engine", RunOpts{Dense: true, Engine: "parallel"}, `unknown engine "parallel"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +49,39 @@ func TestValidateEngine(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSubmitRejectsRemovedEngine pins the wire side of the parallel
+// engine's removal: naming the engine, or sending its old shard-count
+// field, is a 400 invalid-spec at POST /v1/jobs, never a run on some
+// other engine with the field ignored.
+func TestSubmitRejectsRemovedEngine(t *testing.T) {
+	_, client := newFakeServer(t)
+	cases := []struct {
+		name, body, want string
+	}{
+		{"engine", `{"kind":"kernel","kernel":"add","opts":{"engine":"parallel"}}`, "want skip|dense|twin"},
+		{"shards", `{"kind":"kernel","kernel":"add","opts":{"shards":4}}`, `unknown field "shards"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(client.base+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			var eb errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == nil || eb.Error.Code != "invalid-spec" {
+				t.Fatalf("envelope = %+v (err %v), want invalid-spec", eb, err)
+			}
+			if !strings.Contains(eb.Error.Message, tc.want) {
+				t.Errorf("message %q does not contain %q", eb.Error.Message, tc.want)
 			}
 		})
 	}

@@ -87,8 +87,6 @@ func Execute(ctx context.Context, req *JobRequest) (*JobResult, error) {
 		Progress:           o.Progress,
 		DisableKernelCache: o.NoKernelCache,
 		DenseEngine:        o.Dense || o.Engine == "dense",
-		ParallelEngine:     o.Engine == "parallel",
-		ParallelShards:     o.Shards,
 		TwinEngine:         o.Engine == "twin",
 		Twin:               pred,
 		TwinEscalate:       o.Escalate,

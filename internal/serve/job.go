@@ -165,16 +165,12 @@ type RunOpts struct {
 	// Dense runs on the naive dense tick engine (parity reference).
 	// Kept for wire compatibility; it is shorthand for Engine "dense".
 	Dense bool `json:"dense,omitempty"`
-	// Engine selects the simulation engine by name: "skip" (default),
-	// "dense", or "parallel" (intra-run per-channel sharding; results
-	// are byte-identical across all three), or "twin" — the calibrated
+	// Engine selects the simulation engine by name: "skip" (default)
+	// or "dense" (byte-identical results), or "twin" — the calibrated
 	// analytical model, whose answers are approximations with recorded
 	// error bounds, never byte-compared against the cycle engines.
 	// Unknown values are rejected at admission.
 	Engine string `json:"engine,omitempty"`
-	// Shards caps the parallel engine's shard count; <= 0 picks
-	// min(GOMAXPROCS, channels). Only meaningful with Engine "parallel".
-	Shards int `json:"shards,omitempty"`
 	// Calibration is the twin engine's calibration artifact path (the
 	// facade's WithTwin / the CLIs' -calibration). Only meaningful with
 	// Engine "twin".
@@ -259,11 +255,11 @@ func (o *RunOpts) Validate() error {
 		return fmt.Errorf("serve: %w: bytes per channel %d is negative", olerrors.ErrInvalidSpec, o.BytesPerChannel)
 	}
 	switch o.Engine {
-	case "", "skip", "dense", "parallel", "twin":
+	case "", "skip", "dense", "twin":
 	default:
-		return fmt.Errorf("serve: %w: unknown engine %q (want skip|dense|parallel|twin)", olerrors.ErrInvalidSpec, o.Engine)
+		return fmt.Errorf("serve: %w: unknown engine %q (want skip|dense|twin)", olerrors.ErrInvalidSpec, o.Engine)
 	}
-	if o.Dense && (o.Engine == "skip" || o.Engine == "parallel" || o.Engine == "twin") {
+	if o.Dense && (o.Engine == "skip" || o.Engine == "twin") {
 		return fmt.Errorf("serve: %w: WithDenseEngine (dense) conflicts with engine %q; pick one engine", olerrors.ErrInvalidSpec, o.Engine)
 	}
 	if o.Engine == "twin" {
@@ -292,12 +288,6 @@ func (o *RunOpts) Validate() error {
 		case o.TwinPredictor != nil:
 			return fmt.Errorf("serve: %w: a twin predictor needs the twin engine (WithTwin / engine \"twin\")", olerrors.ErrInvalidSpec)
 		}
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("serve: %w: shard count %d is negative", olerrors.ErrInvalidSpec, o.Shards)
-	}
-	if o.Shards != 0 && o.Engine != "parallel" {
-		return fmt.Errorf("serve: %w: WithParallelShards (shards) needs the parallel engine (WithParallelEngine / engine \"parallel\")", olerrors.ErrInvalidSpec)
 	}
 	if o.Fault.Active() {
 		if err := o.Fault.Validate(); err != nil {

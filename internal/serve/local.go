@@ -493,7 +493,7 @@ func jobMemoizable(req *JobRequest) bool {
 
 // jobCacheKey is the whole-job cache key: the canonical JSON of the
 // request with everything scrubbed that cannot change the result —
-// tenant, scheduling (parallelism, shards, retries, timeouts),
+// tenant, scheduling (parallelism, retries, timeouts),
 // durability (checkpoints), transport (fabric) and cache plumbing
 // itself. The engine name stays in the key, mirroring the per-cell
 // discipline documented in internal/rcache.
@@ -502,7 +502,7 @@ func jobCacheKey(req *JobRequest) string {
 	r.Tenant = ""
 	r.IdempotencyKey = ""
 	o := r.Opts
-	o.Parallelism, o.Shards = 0, 0
+	o.Parallelism = 0
 	o.CheckpointDir, o.CheckpointEvery, o.Resume = "", 0, false
 	o.Retries, o.CellTimeout = 0, 0
 	o.CacheDir, o.Fabric = "", false

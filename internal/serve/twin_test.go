@@ -117,10 +117,9 @@ func TestValidateTwinOptions(t *testing.T) {
 		{"twin with sampler", RunOpts{Engine: "twin", Sampler: stats.NewSampler(100)}, "no counters to sample"},
 		{"twin with fabric", RunOpts{Engine: "twin", Fabric: true}, "microseconds of local math"},
 		{"calibration without twin", RunOpts{Calibration: "cal.olcal"}, "needs the twin engine"},
-		{"calibration on parallel", RunOpts{Engine: "parallel", Calibration: "cal.olcal"}, "needs the twin engine"},
+		{"calibration on parallel", RunOpts{Engine: "parallel", Calibration: "cal.olcal"}, `unknown engine "parallel" (want skip|dense|twin)`},
 		{"escalate without twin", RunOpts{Escalate: true}, "needs the twin engine"},
 		{"predictor without twin", RunOpts{TwinPredictor: &twin.Predictor{}}, "needs the twin engine"},
-		{"shards on twin", RunOpts{Engine: "twin", Shards: 4}, "needs the parallel engine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

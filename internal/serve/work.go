@@ -341,8 +341,6 @@ func workerEngine(req *JobRequest, opts WorkerOptions) (*runner.Engine, error) {
 		Parallelism:        par,
 		DisableKernelCache: o.NoKernelCache,
 		DenseEngine:        o.Dense || o.Engine == "dense",
-		ParallelEngine:     o.Engine == "parallel",
-		ParallelShards:     o.Shards,
 		CellRetries:        o.Retries,
 		CellTimeout:        o.CellTimeout,
 		CheckpointDir:      opts.CheckpointDir,

@@ -66,39 +66,6 @@ func (r *Run) CountCmd(k isa.Kind) {
 	}
 }
 
-// FoldFrom adds src's counters into r and zeroes them in src, leaving
-// src ready to accumulate the next interval. The parallel engine gives
-// each memory-controller shard a private Run and folds it into the
-// machine's Run at barriers; every counter is a plain sum, so folding
-// in any order reproduces the sequential totals exactly. Time bounds,
-// configuration echo and verifier fields are not counters and are left
-// alone.
-func (r *Run) FoldFrom(src *Run) {
-	r.FenceCount += src.FenceCount
-	r.OLCount += src.OLCount
-	r.FenceStallCycles += src.FenceStallCycles
-	r.OLStallCycles += src.OLStallCycles
-	r.IssueStallCycles += src.IssueStallCycles
-	r.CreditStallCycles += src.CreditStallCycles
-	r.WarpInstrs += src.WarpInstrs
-	r.PIMCommands += src.PIMCommands
-	r.HostCommands += src.HostCommands
-	r.RowHits += src.RowHits
-	r.RowMisses += src.RowMisses
-	r.ActCmds += src.ActCmds
-	r.PreCmds += src.PreCmds
-	r.OLMerges += src.OLMerges
-	r.OLFlagBlocked += src.OLFlagBlocked
-	r.Refreshes += src.Refreshes
-	for k, n := range src.CmdsByKind {
-		if n != 0 {
-			r.CmdsByKind[k] += n
-			delete(src.CmdsByKind, k)
-		}
-	}
-	*src = Run{CmdsByKind: src.CmdsByKind, BytesPerCommand: src.BytesPerCommand}
-}
-
 // ExecTime returns the simulated duration of the run.
 func (r *Run) ExecTime() sim.Time { return r.End - r.Start }
 

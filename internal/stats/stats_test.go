@@ -135,49 +135,3 @@ func TestStringReport(t *testing.T) {
 		}
 	}
 }
-
-func TestFoldFrom(t *testing.T) {
-	dst, src := New(512), New(512)
-	dst.Start, dst.End = 10, 1000
-	dst.FenceCount, dst.PIMCommands = 3, 100
-	dst.CountCmd(isa.KindPIMLoad)
-	src.FenceCount, src.OLCount, src.RowHits = 2, 5, 7
-	src.WarpInstrs, src.Refreshes = 11, 1
-	src.CountCmd(isa.KindPIMLoad)
-	src.CountCmd(isa.KindHostLoad)
-	src.Start, src.End = 999, 999 // time bounds must NOT fold
-
-	dst.FoldFrom(src)
-	if dst.FenceCount != 5 || dst.OLCount != 5 || dst.RowHits != 7 ||
-		dst.WarpInstrs != 11 || dst.Refreshes != 1 {
-		t.Errorf("folded counters wrong: %+v", dst)
-	}
-	// CountCmd bumped PIMCommands/HostCommands too: 100+1 (dst) +1 (src).
-	if dst.PIMCommands != 102 || dst.HostCommands != 1 {
-		t.Errorf("command counts = (%d, %d), want (102, 1)", dst.PIMCommands, dst.HostCommands)
-	}
-	if dst.CmdsByKind[isa.KindPIMLoad] != 2 || dst.CmdsByKind[isa.KindHostLoad] != 1 {
-		t.Errorf("CmdsByKind folded wrong: %v", dst.CmdsByKind)
-	}
-	if dst.Start != 10 || dst.End != 1000 {
-		t.Errorf("time bounds moved: [%v, %v]", dst.Start, dst.End)
-	}
-
-	// src is reset and immediately reusable; a second fold adds nothing.
-	if src.FenceCount != 0 || src.PIMCommands != 0 || len(src.CmdsByKind) != 0 {
-		t.Errorf("src not reset: %+v", src)
-	}
-	if src.BytesPerCommand != 512 {
-		t.Errorf("src lost its configuration echo: %d", src.BytesPerCommand)
-	}
-	before := *dst
-	dst.FoldFrom(src)
-	if dst.FenceCount != before.FenceCount || dst.PIMCommands != before.PIMCommands {
-		t.Error("folding a reset Run changed the destination")
-	}
-	src.CountCmd(isa.KindPIMLoad)
-	dst.FoldFrom(src)
-	if dst.CmdsByKind[isa.KindPIMLoad] != 3 {
-		t.Errorf("reused src did not fold: %v", dst.CmdsByKind)
-	}
-}

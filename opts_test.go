@@ -3,6 +3,7 @@ package orderlight
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,18 +50,23 @@ func TestBuildOpts(t *testing.T) {
 	invalid := []struct {
 		name string
 		opts []Option
+		want string // optional required substring of the error
 	}{
-		{"resume without dir", []Option{WithResume()}},
-		{"cadence without dir", []Option{WithCheckpointEvery(512)}},
-		{"negative cadence", []Option{WithCheckpointDir("ck"), WithCheckpointEvery(-1)}},
-		{"negative retries", []Option{WithCellRetries(-1)}},
-		{"negative timeout", []Option{WithCellTimeout(-time.Second)}},
-		{"negative halt", []Option{WithHaltAfter(-5)}},
-		{"malformed fault", []Option{WithFaultPlan(FaultSpec{Class: FaultDropOrdering, Rate: 7})}},
+		{"removed parallel engine", []Option{WithEngine("parallel")}, "want skip|dense|twin"},
+		{"resume without dir", []Option{WithResume()}, ""},
+		{"cadence without dir", []Option{WithCheckpointEvery(512)}, ""},
+		{"negative cadence", []Option{WithCheckpointDir("ck"), WithCheckpointEvery(-1)}, ""},
+		{"negative retries", []Option{WithCellRetries(-1)}, ""},
+		{"negative timeout", []Option{WithCellTimeout(-time.Second)}, ""},
+		{"negative halt", []Option{WithHaltAfter(-5)}, ""},
+		{"malformed fault", []Option{WithFaultPlan(FaultSpec{Class: FaultDropOrdering, Rate: 7})}, ""},
 	}
 	for _, tc := range invalid {
-		if _, err := buildOpts(tc.opts...); !errors.Is(err, ErrInvalidSpec) {
+		_, err := buildOpts(tc.opts...)
+		if !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("%s: buildOpts = %v, want ErrInvalidSpec", tc.name, err)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -371,31 +371,13 @@ func WithDenseEngine() Option {
 	return func(o *RunOpts) { o.Dense = true }
 }
 
-// WithParallelEngine runs the simulation on the intra-run parallel
-// engine: skip-ahead clocking with each fired edge's per-channel work
-// (memory controllers, bank FSMs, PIM units, L2 transfer stages)
-// sharded across goroutines and merged at a deterministic barrier.
-// Stats, events, cycle counts and memory images are byte-identical to
-// the other engines for any shard count; only wall-clock time changes.
-// Mutually exclusive with WithDenseEngine.
-func WithParallelEngine() Option {
-	return func(o *RunOpts) { o.Engine = "parallel" }
-}
-
 // WithEngine selects the simulation engine by name: "skip" (the
-// default), "dense", "parallel" or "twin" (the calibrated analytical
+// default), "dense" or "twin" (the calibrated analytical
 // model — needs WithCalibration). It is the string-typed form the
 // CLIs' -engine flag funnels through; unknown names are rejected by
 // option validation, never silently mapped to a default.
 func WithEngine(name string) Option {
 	return func(o *RunOpts) { o.Engine = name }
-}
-
-// WithParallelShards caps the parallel engine's shard count; n <= 0
-// picks min(GOMAXPROCS, channels). Implies nothing by itself — combine
-// with WithParallelEngine. Results are byte-identical for every value.
-func WithParallelShards(n int) Option {
-	return func(o *RunOpts) { o.Shards = n }
 }
 
 // WithTwin answers the run from the calibrated analytical twin instead
