@@ -13,7 +13,7 @@ COVER_FLOOR ?= 80.0
 FUZZTIME ?= 10s
 CKPT_FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race smoke smoke-serve smoke-fabric smoke-chaos cover fuzz-smoke fuzz-ckpt calibrate check-twin speedup bench bench-compare profile results check-results clean
+.PHONY: ci vet build test race smoke smoke-serve smoke-fabric smoke-chaos cover fuzz-smoke fuzz-ckpt calibrate check-twin perf-digest perf-digest-update speedup bench bench-compare profile results check-results clean
 
 # ci is the tier-1 gate: vet, build, the full test suite under the race
 # detector (including the serve handler tests), a parallel-vs-sequential
@@ -22,9 +22,10 @@ CKPT_FUZZTIME ?= 5s
 # sweep-fabric smoke (coordinator + two workers + mid-run SIGKILL), the
 # chaos drill (the same fabric under seeded network+disk fault
 # injection plus a coordinator SIGKILL/restart), a brief run of the
-# checkpoint-decoder fuzzer (crash-safety is a tier-1 property), and
-# the twin-engine envelope gate (check-twin).
-ci: vet build race smoke smoke-serve smoke-fabric smoke-chaos fuzz-ckpt check-twin
+# checkpoint-decoder fuzzer (crash-safety is a tier-1 property), the
+# twin-engine envelope gate (check-twin), and the perfbench
+# determinism gate (perf-digest).
+ci: vet build race smoke smoke-serve smoke-fabric smoke-chaos fuzz-ckpt check-twin perf-digest
 
 vet:
 	$(GO) vet ./...
@@ -283,6 +284,33 @@ check-twin:
 	@test -f calibration.olcal || { \
 		echo "check-twin: FAIL: calibration.olcal missing; run 'make calibrate' and commit it"; exit 1; }
 	$(GO) test -run '^TestTwinCheck' -count=1 .
+
+# perf-digest is the deterministic half of the host-cost benchmark. It
+# runs each perfbench workload (sim-cold, sim-warm, serve-mix) briefly
+# at seed 3 and fails when a run exits non-zero, when any op came back
+# incorrect, or when a workload's digest: line (a hash over the
+# simulated statistics of its first ops) differs from the committed
+# testdata/perfbench.digest. A host-speed change must leave every
+# digest unchanged; a change that moves simulated results on purpose
+# regenerates the file with perf-digest-update, which runs the same
+# checked loop and writes its digest lines instead of diffing them.
+# Timings are printed by perfbench and never gated here: shared-machine
+# spread is too wide for a fixed bound.
+perf-digest perf-digest-update:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	for w in sim-cold sim-warm serve-mix; do \
+		bash perfbench/run.sh --workload $$w --seed 3 --seconds 1 >$$tmp/$$w.out 2>$$tmp/$$w.err || { \
+			echo "$@: FAIL: perfbench $$w exited non-zero"; cat $$tmp/$$w.err; exit 1; }; \
+		tail -n 1 $$tmp/$$w.out | grep -q '"correct":true' || { \
+			echo "$@: FAIL: perfbench $$w reported incorrect ops"; tail -n 1 $$tmp/$$w.out; exit 1; }; \
+		grep '^digest:' $$tmp/$$w.out >>$$tmp/digest || { \
+			echo "$@: FAIL: perfbench $$w printed no digest: line"; exit 1; }; \
+	done; \
+	if [ "$@" = perf-digest-update ]; then \
+		mv $$tmp/digest testdata/perfbench.digest; echo "$@: wrote testdata/perfbench.digest"; exit 0; fi; \
+	diff testdata/perfbench.digest $$tmp/digest || { \
+		echo "$@: FAIL: simulated statistics moved (run 'make perf-digest-update' only if that is intended)"; exit 1; }; \
+	echo "$@: OK (sim-cold, sim-warm and serve-mix digests match testdata/perfbench.digest)"
 
 # results regenerates results_all.md — every experiment's tables plus a
 # collapsed per-cell run-manifest block (config hash, seed, engine,

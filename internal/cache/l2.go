@@ -50,7 +50,7 @@ func NewSlice(channel int, geom dram.Geometry, nSub, tagLines int) *Slice {
 	}
 	s.div = &core.Diverge{
 		NPaths:     nSub,
-		Route:      func(r isa.Request) int { return r.Bank % nSub },
+		Route:      func(r isa.Request) int { return int(r.Bank) % nSub },
 		GroupPaths: func(group int) []int { return groupPaths[group] },
 	}
 	return s

@@ -16,12 +16,12 @@ func testGeom() dram.Geometry {
 }
 
 func pimReq(id uint64, bank int) isa.Request {
-	return isa.Request{ID: id, Kind: isa.KindPIMLoad, Bank: bank, Group: testGeom().GroupOf(bank)}
+	return isa.Request{ID: id, Kind: isa.KindPIMLoad, Bank: uint8(bank), Group: uint8(testGeom().GroupOf(bank))}
 }
 
 func olPkt(id uint64, group int) isa.Request {
 	return isa.Request{
-		ID: id, Kind: isa.KindOrderLight, Group: group,
+		ID: id, Kind: isa.KindOrderLight, Group: uint8(group),
 		OL: isa.OLPacket{PktID: isa.PktIDOrderLight, Group: uint8(group)},
 	}
 }

@@ -33,8 +33,10 @@ import (
 )
 
 // Version is the current checkpoint format version. Decode rejects any
-// other version with olerrors.ErrCheckpointVersion.
-const Version = 1
+// other version with olerrors.ErrCheckpointVersion. Version 2 narrowed
+// isa.Request to sized integer fields and an OrderLight group mask,
+// which gob cannot decode from a version-1 payload.
+const Version = 2
 
 const magic = "OLCKPT"
 
@@ -101,6 +103,10 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %d bytes, header needs %d", olerrors.ErrCheckpointTruncated, len(data), headerLen)
 	}
 	ver := binary.BigEndian.Uint16(data[len(magic):])
+	if ver < Version {
+		return nil, fmt.Errorf("%w: file is v%d from an older build, this build reads v%d; delete the checkpoint file and rerun the cell",
+			olerrors.ErrCheckpointVersion, ver, Version)
+	}
 	if ver != Version {
 		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d", olerrors.ErrCheckpointVersion, ver, Version)
 	}

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"orderlight/internal/ckpt"
@@ -106,13 +107,13 @@ func TestDecodeCorruption(t *testing.T) {
 
 	// A well-formed container whose payload is not a gob stream: the
 	// checksum verifies, the decode does not.
-	garbagePayload := container(1, []byte("this is not a gob stream at all"))
+	garbagePayload := container(ckpt.Version, []byte("this is not a gob stream at all"))
 
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0x40
 
 	wrongVersion := append([]byte(nil), valid...)
-	wrongVersion[6], wrongVersion[7] = 0x00, 0x02 // version 2
+	binary.BigEndian.PutUint16(wrongVersion[6:], ckpt.Version+1)
 	badMagic := append([]byte("XXXXXX"), valid[6:]...)
 
 	cases := []struct {
@@ -147,6 +148,28 @@ func TestDecodeCorruption(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodeRefusesVersion1 pins the Request-narrowing format bump: a
+// version-1 file (int-typed request fields, a slice of extension
+// groups) is refused loudly as ErrCheckpointVersion, with a message
+// telling the operator to delete it, never decoded into the new layout.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	state := haltState(t, testConfig(), false, 200)
+	valid, err := ckpt.Encode(&ckpt.Checkpoint{Meta: testMeta(), Machine: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A structurally sound version-1 container: correct length and
+	// digest, only the version field says 1.
+	v1 := container(1, valid[len("OLCKPT")+2+8+32:])
+	_, err = ckpt.Decode(v1)
+	if !errors.Is(err, olerrors.ErrCheckpointVersion) {
+		t.Fatalf("Decode(v1) = %v, want ErrCheckpointVersion", err)
+	}
+	if !strings.Contains(err.Error(), "delete") {
+		t.Fatalf("Decode(v1) = %q, want a message saying to delete the file", err)
 	}
 }
 

@@ -334,6 +334,16 @@ func (c Config) HostPeakBandwidth() float64 {
 	return float64(c.Memory.Channels) * float64(c.Memory.BusWidthBytes) * float64(c.Memory.MemFreqMHz) * 1e6
 }
 
+// Limits a configuration must respect so every per-request field fits
+// the sized integer isa.Request stores it in. Channels and memory-groups
+// are capped at 16 by the 4-bit fields of the OrderLight packet itself.
+const (
+	MaxBanks   = 255   // uint8 Request.Bank
+	MaxWarps   = 32767 // int16 Request.Warp (PIM SMs x warps per SM)
+	MaxTSSlots = 65535 // uint16 Request.TSlot (TS slots per channel)
+	MaxFanOut  = 255   // uint8 Request.Copies (L2 sub-partitions, interconnect routes)
+)
+
 // Validate checks internal consistency and returns a descriptive error
 // for the first violated invariant, wrapping olerrors.ErrInvalidSpec so
 // callers can classify with errors.Is.
@@ -356,6 +366,11 @@ func (c Config) validate() error {
 		return fmt.Errorf("config: channels %d out of range [1,16] (4-bit channel ID, Figure 8)", m.Channels)
 	case m.GroupsPerChannel <= 0 || m.GroupsPerChannel > 16:
 		return fmt.Errorf("config: memory-groups %d out of range [1,16] (4-bit group ID, Figure 8)", m.GroupsPerChannel)
+	case m.BanksPerChannel <= 0 || m.BanksPerChannel > MaxBanks:
+		return fmt.Errorf("config: banks %d out of range [1,%d] (8-bit bank field of a request)", m.BanksPerChannel, MaxBanks)
+	case c.GPU.PIMSMs*c.GPU.WarpsPerSM > MaxWarps:
+		return fmt.Errorf("config: %d PIM SMs x %d warps exceeds %d (16-bit signed warp ID of a request)",
+			c.GPU.PIMSMs, c.GPU.WarpsPerSM, MaxWarps)
 	case m.BanksPerChannel%m.GroupsPerChannel != 0:
 		return fmt.Errorf("config: %d banks not divisible into %d groups", m.BanksPerChannel, m.GroupsPerChannel)
 	case m.RowBufferBytes <= 0 || m.RowBufferBytes%m.BusWidthBytes != 0:
@@ -366,12 +381,16 @@ func (c Config) validate() error {
 		return fmt.Errorf("config: TS %d B holds no %d B command", c.PIM.TSBytes, m.BusWidthBytes)
 	case c.PIM.TSBytes%m.BusWidthBytes != 0:
 		return fmt.Errorf("config: TS %d B not a multiple of the %d B bus", c.PIM.TSBytes, m.BusWidthBytes)
+	case c.CommandsPerTile()*m.GroupsPerChannel > MaxTSSlots:
+		return fmt.Errorf("config: %d TS slots per channel (%d per group x %d groups) exceed %d (16-bit TS slot field of a request)",
+			c.CommandsPerTile()*m.GroupsPerChannel, c.CommandsPerTile(), m.GroupsPerChannel, MaxTSSlots)
 	case c.PIM.BMF <= 0:
 		return fmt.Errorf("config: BMF must be positive, got %d", c.PIM.BMF)
 	case c.GPU.IssuePerCycle <= 0:
 		return fmt.Errorf("config: need at least one issue slot per SM cycle")
-	case c.GPU.IcntRoutes <= 0:
-		return fmt.Errorf("config: need at least one interconnect route")
+	case c.GPU.IcntRoutes <= 0 || c.GPU.IcntRoutes > MaxFanOut:
+		return fmt.Errorf("config: interconnect routes %d out of range [1,%d] (8-bit copy count of a replicated packet)",
+			c.GPU.IcntRoutes, MaxFanOut)
 	case c.Run.Primitive == PrimitiveSeqno && c.Run.SeqnoCredits <= 0:
 		return fmt.Errorf("config: seqno primitive needs positive SeqnoCredits")
 	case c.Memory.Sched != SchedFRFCFS && c.Memory.Sched != SchedFCFS:
@@ -385,8 +404,9 @@ func (c Config) validate() error {
 	case c.Host.Kind == HostCPU && c.Run.Primitive == PrimitiveSeqno && c.Run.SeqnoCredits > c.GPU.RWQueueSize:
 		return fmt.Errorf("config: seqno credits (%d) must not exceed the R/W queue depth (%d) on an OoO host (deadlock)",
 			c.Run.SeqnoCredits, c.GPU.RWQueueSize)
-	case c.GPU.L2SubPartitions <= 0:
-		return fmt.Errorf("config: need at least one L2 sub-partition")
+	case c.GPU.L2SubPartitions <= 0 || c.GPU.L2SubPartitions > MaxFanOut:
+		return fmt.Errorf("config: L2 sub-partitions %d out of range [1,%d] (8-bit copy count of a replicated packet)",
+			c.GPU.L2SubPartitions, MaxFanOut)
 	case m.BanksPerChannel%c.GPU.L2SubPartitions != 0:
 		return fmt.Errorf("config: %d banks not divisible across %d L2 sub-partitions", m.BanksPerChannel, c.GPU.L2SubPartitions)
 	}

@@ -97,6 +97,47 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRequestFieldBounds walks each limit a sized isa.Request
+// field imposes: the configuration at the bound validates, one past it
+// is rejected with a message naming the field.
+func TestValidateRequestFieldBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(c *Config, v int)
+		at   int
+		want string
+	}{
+		{"channels", func(c *Config, v int) { c.Memory.Channels = v }, 16, "channels"},
+		{"groups", func(c *Config, v int) { c.Memory.GroupsPerChannel = v }, 16, "memory-groups"},
+		{"banks", func(c *Config, v int) {
+			c.Memory.BanksPerChannel, c.Memory.GroupsPerChannel, c.GPU.L2SubPartitions = v, 1, 1
+		}, MaxBanks, "banks"},
+		{"SMs x warps", func(c *Config, v int) { c.GPU.PIMSMs, c.GPU.WarpsPerSM = 1, v }, MaxWarps, "warp ID"},
+		{"TS slots", func(c *Config, v int) {
+			c.Memory.GroupsPerChannel, c.PIM.TSBytes = 1, v*c.Memory.BusWidthBytes
+		}, MaxTSSlots, "TS slot"},
+		{"L2 sub-partitions", func(c *Config, v int) {
+			c.Memory.BanksPerChannel, c.Memory.GroupsPerChannel, c.GPU.L2SubPartitions = MaxBanks, 1, v
+		}, MaxFanOut, "L2 sub-partitions"},
+		{"interconnect routes", func(c *Config, v int) { c.GPU.IcntRoutes = v }, MaxFanOut, "interconnect routes"},
+	}
+	for _, tc := range cases {
+		c := Default()
+		if tc.name == "groups" {
+			c.Memory.BanksPerChannel = 16
+		}
+		tc.set(&c, tc.at)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s = %d (the bound): Validate() = %v, want nil", tc.name, tc.at, err)
+		}
+		tc.set(&c, tc.at+1)
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s = %d (bound+1): Validate() = %v, want an error naming %q", tc.name, tc.at+1, err, tc.want)
+		}
+	}
+}
+
 func TestParsePrimitive(t *testing.T) {
 	cases := map[string]Primitive{
 		"none": PrimitiveNone, "NoFence": PrimitiveNone,

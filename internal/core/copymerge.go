@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"orderlight/internal/isa"
 	"orderlight/internal/sim"
@@ -44,12 +45,12 @@ func (d *Diverge) Targets(r isa.Request) []int {
 	for i := range d.seen {
 		d.seen[i] = false
 	}
-	// Walk the packet's base group then the extension fields directly:
+	// Walk the packet's base group then the extension mask directly:
 	// OLPacket.Groups() would allocate, and path-level dedup via seen[]
 	// already subsumes its group-level dedup.
 	d.addGroupPaths(int(r.OL.Group))
-	for _, g := range r.OL.ExtraGroups {
-		d.addGroupPaths(int(g))
+	for m := r.OL.Extra(); m != 0; m &= m - 1 {
+		d.addGroupPaths(bits.TrailingZeros16(m))
 	}
 	if len(d.out) == 0 {
 		// A packet whose groups map nowhere still needs one path so it
@@ -69,9 +70,11 @@ func (d *Diverge) addGroupPaths(g int) {
 }
 
 // Replicate stamps the request with the number of copies the convergence
-// FSM must collect. Normal requests keep Copies == 0.
+// FSM must collect. Normal requests keep Copies == 0. config.Validate
+// bounds every divergence fan-out (L2 sub-partitions, interconnect
+// routes) to 255, so the count fits the field.
 func Replicate(r isa.Request, copies int) isa.Request {
-	r.Copies = copies
+	r.Copies = uint8(copies)
 	return r
 }
 
@@ -117,31 +120,22 @@ func (c *Converge) Len() int {
 
 // Pop emits the next request from the convergence point, or ok=false if
 // nothing can proceed this cycle. At most one request is emitted per
-// call, modeling a single downstream slot per cycle.
+// call, modeling a single downstream slot per cycle. Heads are
+// inspected in place; only the emitted request is copied.
 func (c *Converge) Pop() (isa.Request, bool) {
-	// First, try to complete a merge: find an OrderLight copy at a head
-	// whose sibling copies are all at their heads too.
-	for i := range c.paths {
-		h, ok := c.paths[i].Peek()
-		if !ok || h.Kind != isa.KindOrderLight {
-			continue
-		}
-		if c.mergeReady(h) {
-			c.popCopies(h.ID)
-			return Replicate(h, 0), true
-		}
+	if r, ok := c.popMerged(); ok {
+		return r, true
 	}
 	// Otherwise drain a normal request, round-robin across sub-paths.
 	// Sub-paths headed by a waiting OrderLight copy are blocked.
 	for k := 0; k < len(c.paths); k++ {
 		i := (c.rr + k) % len(c.paths)
-		h, ok := c.paths[i].Peek()
-		if !ok || h.Kind == isa.KindOrderLight {
+		h := c.paths[i].Head()
+		if h == nil || h.Kind == isa.KindOrderLight {
 			continue
 		}
-		c.paths[i].Pop()
 		c.rr = (i + 1) % len(c.paths)
-		return h, true
+		return c.paths[i].Pop()
 	}
 	return isa.Request{}, false
 }
@@ -150,22 +144,15 @@ func (c *Converge) Pop() (isa.Request, bool) {
 // eligible, picks the one the comparison function prefers instead of
 // round-robin. Used by the sequence-number baseline, whose memory
 // controller must drain requests in warp sequence order.
-func (c *Converge) PopBest(better func(a, b isa.Request) bool) (isa.Request, bool) {
-	for i := range c.paths {
-		h, ok := c.paths[i].Peek()
-		if !ok || h.Kind != isa.KindOrderLight {
-			continue
-		}
-		if c.mergeReady(h) {
-			c.popCopies(h.ID)
-			return Replicate(h, 0), true
-		}
+func (c *Converge) PopBest(better func(a, b *isa.Request) bool) (isa.Request, bool) {
+	if r, ok := c.popMerged(); ok {
+		return r, true
 	}
 	best := -1
-	var bestReq isa.Request
+	var bestReq *isa.Request
 	for i := range c.paths {
-		h, ok := c.paths[i].Peek()
-		if !ok || h.Kind == isa.KindOrderLight {
+		h := c.paths[i].Head()
+		if h == nil || h.Kind == isa.KindOrderLight {
 			continue
 		}
 		if best < 0 || better(h, bestReq) {
@@ -175,32 +162,47 @@ func (c *Converge) PopBest(better func(a, b isa.Request) bool) (isa.Request, boo
 	if best < 0 {
 		return isa.Request{}, false
 	}
-	c.paths[best].Pop()
-	return bestReq, true
+	return c.paths[best].Pop()
+}
+
+// popMerged completes a merge if it can: it finds an OrderLight copy at
+// a head whose sibling copies are all at their heads too, retires every
+// copy and returns the single merged packet.
+func (c *Converge) popMerged() (isa.Request, bool) {
+	for i := range c.paths {
+		h := c.paths[i].Head()
+		if h == nil || h.Kind != isa.KindOrderLight || !c.mergeReady(h) {
+			continue
+		}
+		r := Replicate(*h, 0)
+		c.popCopies(r.ID)
+		return r, true
+	}
+	return isa.Request{}, false
 }
 
 // mergeReady reports whether every copy of packet h is at the head of
 // some sub-path.
-func (c *Converge) mergeReady(h isa.Request) bool {
-	if h.Copies <= 0 {
+func (c *Converge) mergeReady(h *isa.Request) bool {
+	if h.Copies == 0 {
 		return true // single-path packet: nothing to merge
 	}
 	n := 0
 	for _, p := range c.paths {
-		if hd, ok := p.Peek(); ok && hd.Kind == isa.KindOrderLight && hd.ID == h.ID {
+		if hd := p.Head(); hd != nil && hd.Kind == isa.KindOrderLight && hd.ID == h.ID {
 			n++
 		}
 	}
-	if n > h.Copies {
+	if n > int(h.Copies) {
 		panic(fmt.Sprintf("core: %d copies of packet %d at heads, expected at most %d", n, h.ID, h.Copies))
 	}
-	return n == h.Copies
+	return n == int(h.Copies)
 }
 
 // popCopies removes every head-of-path copy of the packet.
 func (c *Converge) popCopies(id uint64) {
 	for _, p := range c.paths {
-		if hd, ok := p.Peek(); ok && hd.Kind == isa.KindOrderLight && hd.ID == id {
+		if hd := p.Head(); hd != nil && hd.Kind == isa.KindOrderLight && hd.ID == id {
 			p.Pop()
 		}
 	}

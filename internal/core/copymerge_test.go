@@ -9,7 +9,7 @@ import (
 )
 
 func mkReq(id uint64, kind isa.Kind, bank int) isa.Request {
-	return isa.Request{ID: id, Kind: kind, Bank: bank}
+	return isa.Request{ID: id, Kind: kind, Bank: uint8(bank)}
 }
 
 func mkOL(id uint64, group uint8) isa.Request {
@@ -23,7 +23,7 @@ func mkOL(id uint64, group uint8) isa.Request {
 func evenOddDiverge(nPaths int) *Diverge {
 	return &Diverge{
 		NPaths: nPaths,
-		Route:  func(r isa.Request) int { return r.Bank % nPaths },
+		Route:  func(r isa.Request) int { return int(r.Bank) % nPaths },
 		GroupPaths: func(int) []int {
 			all := make([]int, nPaths)
 			for i := range all {
@@ -55,7 +55,7 @@ func TestDivergeTargetsGroupSubset(t *testing.T) {
 	// the packet to exactly those two (the paper's example in §5.3.2).
 	d := &Diverge{
 		NPaths: 4,
-		Route:  func(r isa.Request) int { return r.Bank % 4 },
+		Route:  func(r isa.Request) int { return int(r.Bank) % 4 },
 		GroupPaths: func(g int) []int {
 			if g == 1 {
 				return []int{1, 3}
@@ -85,7 +85,7 @@ func TestDivergeTargetsExtraGroupsUnion(t *testing.T) {
 		},
 	}
 	r := mkOL(7, 0)
-	r.OL.ExtraGroups = []uint8{1}
+	r.OL.ExtraMask = isa.GroupMask([]uint8{1})
 	got := d.Targets(r)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Targets = %v, want [0 1]", got)

@@ -81,10 +81,7 @@ func (t *Tracker) OrderLight(group int, pktNum uint32) error {
 	g.epochs = append(g.epochs, 0)
 	// A packet over an already-drained epoch imposes no constraint: the
 	// paper's counter is already zero, so the flag clears immediately.
-	for len(g.epochs) > 1 && g.epochs[0] == 0 {
-		g.epochs = g.epochs[1:]
-		g.base++
-	}
+	g.retire()
 	var err error
 	if last := t.lastPktNum[group]; last >= 0 && int64(pktNum) <= last {
 		err = fmt.Errorf("core: OrderLight packet number %d not increasing (last %d) in group %d",
@@ -117,10 +114,20 @@ func (t *Tracker) Issued(group int, e Epoch) {
 		panic(fmt.Sprintf("core: Issued on drained epoch %d of group %d", e, group))
 	}
 	g.epochs[idx]--
-	// Retire fully drained closed epochs from the front.
-	for len(g.epochs) > 1 && g.epochs[0] == 0 {
-		g.epochs = g.epochs[1:]
-		g.base++
+	g.retire()
+}
+
+// retire drops fully drained closed epochs from the front. It shifts
+// the live epochs down instead of reslicing, so the slice keeps its
+// capacity and the next OrderLight packet appends without allocating.
+func (g *trackerGroup) retire() {
+	n := 0
+	for n < len(g.epochs)-1 && g.epochs[n] == 0 {
+		n++
+	}
+	if n > 0 {
+		g.epochs = g.epochs[:copy(g.epochs, g.epochs[n:])]
+		g.base += Epoch(n)
 	}
 }
 

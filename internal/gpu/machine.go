@@ -107,6 +107,18 @@ func NewMachine(cfg config.Config, store *dram.Store, programs []Program) (*Mach
 			return nil, fmt.Errorf("gpu: two programs drive channel %d (one warp per PIM unit, §5.4)", p.Channel)
 		}
 		seen[p.Channel] = true
+		for i, in := range p.Instrs {
+			if in.Group < 0 || in.Group >= cfg.Memory.GroupsPerChannel {
+				return nil, fmt.Errorf("gpu: channel %d instruction %d (%v) names memory-group %d, config has %d",
+					p.Channel, i, in, in.Group, cfg.Memory.GroupsPerChannel)
+			}
+			for _, g := range in.XGroups {
+				if int(g) >= cfg.Memory.GroupsPerChannel {
+					return nil, fmt.Errorf("gpu: channel %d instruction %d (%v) orders extension memory-group %d, config has %d",
+						p.Channel, i, in, g, cfg.Memory.GroupsPerChannel)
+				}
+			}
+		}
 	}
 
 	geom := dram.NewGeometry(cfg.Memory.Channels, cfg.Memory.BanksPerChannel,
@@ -399,11 +411,11 @@ func (m *Machine) record(stage trace.Stage, r isa.Request) {
 func stageTrack(stage trace.Stage, r isa.Request) obs.Track {
 	switch stage {
 	case trace.StageInject:
-		return obs.Track{Kind: "sm", ID: r.SM}
+		return obs.Track{Kind: "sm", ID: int(r.SM)}
 	case trace.StageL2, trace.StageToDRAM:
-		return obs.Track{Kind: "l2", ID: r.Channel}
+		return obs.Track{Kind: "l2", ID: int(r.Channel)}
 	default:
-		return obs.Track{Kind: "mc", ID: r.Channel}
+		return obs.Track{Kind: "mc", ID: int(r.Channel)}
 	}
 }
 
@@ -507,7 +519,7 @@ func (m *Machine) pushHostLoad(ch int, now, desired sim.Time) {
 	loc := m.geom.Decode(addr)
 	r := isa.Request{
 		ID: m.nextID, Kind: isa.KindHostLoad, Addr: addr,
-		Channel: ch, Group: m.geom.GroupOf(loc.Bank), Bank: loc.Bank, Row: loc.Row,
+		Channel: uint8(ch), Group: uint8(m.geom.GroupOf(loc.Bank)), Bank: uint8(loc.Bank), Row: int32(loc.Row),
 		Warp: -1,
 	}
 	m.icnt[ch].Push(now, r)
@@ -535,7 +547,7 @@ func (m *Machine) send(r isa.Request) bool {
 func (m *Machine) onIssue(r isa.Request) {
 	m.record(trace.StageDevice, r)
 	if r.Kind.IsPIM() {
-		m.acks.Push(m.eng.Now(), r.Warp)
+		m.acks.Push(m.eng.Now(), int(r.Warp))
 		return
 	}
 	m.completeHost(r)
@@ -569,8 +581,8 @@ func (m *Machine) coreTick() {
 	}
 	// Interconnect -> L2 slice (one per channel per cycle).
 	for ch := range m.icnt {
-		if r, ok := m.icnt[ch].Peek(now); ok && m.slices[ch].CanAccept(r) {
-			m.icnt[ch].Pop(now)
+		if r := m.icnt[ch].Peek(now); r != nil && m.slices[ch].CanAccept(*r) {
+			r, _ := m.icnt[ch].Pop(now)
 			m.slices[ch].Accept(r)
 			m.record(trace.StageL2, r)
 		}
@@ -595,8 +607,8 @@ func (m *Machine) coreTick() {
 func (m *Machine) memTick(cycle int64) {
 	now := m.eng.Now()
 	for ch, mc := range m.mcs {
-		if r, ok := m.l2dram[ch].Peek(now); ok && mc.CanAccept(r) {
-			m.l2dram[ch].Pop(now)
+		if r := m.l2dram[ch].Head(now); r != nil && mc.CanAccept(*r) {
+			r, _ := m.l2dram[ch].Pop(now)
 			mc.Accept(r)
 			m.record(trace.StageMC, r)
 		}
@@ -817,22 +829,22 @@ func ExpandProgram(geom dram.Geometry, n int, p Program) []isa.Request {
 	for _, in := range p.Instrs {
 		switch in.Kind {
 		case isa.KindFence:
-			out = append(out, isa.Request{Kind: isa.KindFence, Channel: p.Channel})
+			out = append(out, isa.Request{Kind: isa.KindFence, Channel: uint8(p.Channel)})
 		case isa.KindOrderLight:
-			out = append(out, isa.Request{Kind: isa.KindOrderLight, Channel: p.Channel, Group: in.Group})
+			out = append(out, isa.Request{Kind: isa.KindOrderLight, Channel: uint8(p.Channel), Group: uint8(in.Group)})
 		default:
 			for lane := 0; lane < in.Count; lane++ {
 				r := isa.Request{
-					Kind: in.Kind, Op: in.Op, Channel: p.Channel,
-					Imm: in.Imm, Group: in.Group,
+					Kind: in.Kind, Op: in.Op, Channel: uint8(p.Channel),
+					Imm: in.Imm, Group: uint8(in.Group),
 				}
 				if in.Kind.IsMemAccess() {
 					r.Addr = in.Addr + isa.Addr(int64(lane)*in.Strd)
 					loc := geom.Decode(r.Addr)
-					r.Bank, r.Row = loc.Bank, loc.Row
-					r.Group = geom.GroupOf(loc.Bank)
+					r.Bank, r.Row = uint8(loc.Bank), int32(loc.Row)
+					r.Group = uint8(geom.GroupOf(loc.Bank))
 				}
-				r.TSlot = r.Group*n + (in.TSlot+lane)%n
+				r.TSlot = uint16(int(r.Group)*n + (in.TSlot+lane)%n)
 				out = append(out, r)
 			}
 		}

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"orderlight/internal/config"
@@ -388,6 +389,26 @@ func TestMachineValidation(t *testing.T) {
 	if _, err := NewMachine(cfg, dram.NewStore(4), programs); err == nil {
 		t.Error("lane-mismatched store accepted")
 	}
+	// Memory-groups the configuration does not have: the base group and
+	// every extension group must be below GroupsPerChannel, or the
+	// packet's 16-bit group mask and 8-bit group field could not hold
+	// them.
+	g := cfg.Memory.GroupsPerChannel
+	for _, in := range []isa.Instr{
+		{Kind: isa.KindOrderLight, Group: 0, XGroups: []uint8{uint8(g)}},
+		{Kind: isa.KindOrderLight, Group: 0, XGroups: []uint8{1, 255}},
+		{Kind: isa.KindOrderLight, Group: g},
+		{Kind: isa.KindPIMExec, Group: -1, Count: 1},
+	} {
+		p := Program{Channel: 0, Instrs: []isa.Instr{in}}
+		if _, err := NewMachine(cfg, store, []Program{p}); err == nil || !strings.Contains(err.Error(), "memory-group") {
+			t.Errorf("instruction %v (XGroups %v) accepted: err = %v", in, in.XGroups, err)
+		}
+	}
+	ok := Program{Channel: 0, Instrs: []isa.Instr{{Kind: isa.KindOrderLight, Group: g - 1, XGroups: []uint8{0, uint8(g - 1)}}}}
+	if _, err := NewMachine(cfg, store, []Program{ok}); err != nil {
+		t.Errorf("in-range extension groups rejected: %v", err)
+	}
 }
 
 func TestExpandProgramLaneExpansion(t *testing.T) {
@@ -404,7 +425,7 @@ func TestExpandProgramLaneExpansion(t *testing.T) {
 	}
 	for lane := 0; lane < 3; lane++ {
 		r := reqs[lane]
-		if r.Kind != isa.KindPIMLoad || r.TSlot != lane {
+		if r.Kind != isa.KindPIMLoad || int(r.TSlot) != lane {
 			t.Fatalf("lane %d = %v", lane, r)
 		}
 		if loc := geom.Decode(r.Addr); loc.Col != lane || loc.Channel != 1 {

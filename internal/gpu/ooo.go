@@ -157,7 +157,7 @@ func (c *OoOCore) issueMemory() {
 			c.st.IssueStallCycles++
 			return
 		}
-		c.rs.Release(r.Channel, r.Group)
+		c.rs.Release(int(r.Channel), int(r.Group))
 		if r.Kind.IsPIM() {
 			c.ft.Issued(c.w.id)
 		}
@@ -212,18 +212,7 @@ func (c *OoOCore) dispatch() {
 				return
 			}
 			*c.nextID++
-			pkt := isa.Request{
-				ID: *c.nextID, Kind: isa.KindOrderLight,
-				Channel: c.w.channel, Group: in.Group,
-				SM: c.id, Warp: c.w.id, Seq: c.w.seq,
-				OL: isa.OLPacket{
-					PktID:       isa.PktIDOrderLight,
-					Channel:     uint8(c.w.channel),
-					Group:       uint8(in.Group),
-					Number:      c.w.pktNum,
-					ExtraGroups: in.XGroups,
-				},
-			}
+			pkt := olRequest(*c.nextID, c.id, &c.w, in)
 			c.w.seq++
 			c.w.pktNum++
 			if !c.send(pkt) {
@@ -249,7 +238,7 @@ func (c *OoOCore) dispatch() {
 			}
 			r := laneRequest(c.cfg, c.geom, &c.w, in, c.id, c.nextID)
 			c.window = append(c.window, r)
-			c.rs.Alloc(r.Channel, r.Group)
+			c.rs.Alloc(int(r.Channel), int(r.Group))
 			c.w.lane++
 			if c.w.lane >= in.Count {
 				c.w.lane = 0

@@ -298,11 +298,11 @@ func (s *SM) Skip(k int64) {
 // backpressure.
 func (s *SM) drainLDST() {
 	for port := 0; port < s.cfg.GPU.IssuePerCycle; port++ {
-		r, ok := s.ldst.Peek()
-		if !ok {
+		r := s.ldst.Head()
+		if r == nil {
 			return
 		}
-		if !s.send(r) {
+		if !s.send(*r) {
 			s.st.IssueStallCycles++
 			return
 		}
@@ -319,7 +319,7 @@ func (s *SM) completeCollector(now sim.Time) {
 			return
 		}
 		s.ldst.Push(e.r)
-		s.cc.Release(e.r.Channel, e.r.Group)
+		s.cc.Release(int(e.r.Channel), int(e.r.Group))
 		// Shift in place (the unit count is small) rather than reslice:
 		// reslicing would shed capacity and make the append in step
 		// reallocate every few cycles.
@@ -404,20 +404,9 @@ func (s *SM) step(w *warp, now sim.Time) bool {
 			w.pc++
 			return true
 		}
-		pkt := isa.OLPacket{
-			PktID:       isa.PktIDOrderLight,
-			Channel:     uint8(w.channel),
-			Group:       uint8(in.Group),
-			Number:      w.pktNum,
-			ExtraGroups: in.XGroups,
-		}
-		w.pktNum++
 		*s.nextID++
-		s.ldst.Push(isa.Request{
-			ID: *s.nextID, Kind: isa.KindOrderLight,
-			Channel: w.channel, Group: in.Group,
-			SM: s.id, Warp: w.id, Seq: w.seq, OL: pkt,
-		})
+		s.ldst.Push(olRequest(*s.nextID, s.id, w, in))
+		w.pktNum++
 		w.seq++
 		s.st.OLCount++
 		s.st.WarpInstrs++
@@ -431,7 +420,7 @@ func (s *SM) step(w *warp, now sim.Time) bool {
 			r:     r,
 			ready: now + sim.Time(s.cfg.GPU.CollectorLat)*sim.CoreTicks,
 		})
-		s.cc.Alloc(r.Channel, r.Group)
+		s.cc.Alloc(int(r.Channel), int(r.Group))
 		if r.Kind.IsPIM() {
 			// Host accesses are never fenced or acknowledged; only PIM
 			// requests enter the fence tracker's outstanding count.
@@ -485,12 +474,12 @@ func laneRequest(cfg config.Config, geom dram.Geometry, w *warp, in isa.Instr, h
 		ID:      *nextID,
 		Kind:    in.Kind,
 		Op:      in.Op,
-		Channel: w.channel,
-		SM:      hostID,
-		Warp:    w.id,
+		Channel: uint8(w.channel),
+		SM:      int16(hostID),
+		Warp:    int16(w.id),
 		Seq:     w.seq,
 		Imm:     in.Imm,
-		Group:   in.Group,
+		Group:   uint8(in.Group),
 	}
 	w.seq++
 	if in.Kind.IsMemAccess() {
@@ -499,10 +488,29 @@ func laneRequest(cfg config.Config, geom dram.Geometry, w *warp, in isa.Instr, h
 		if loc.Channel != w.channel {
 			panic(fmt.Sprintf("gpu: warp %d (channel %d) built request for channel %d", w.id, w.channel, loc.Channel))
 		}
-		r.Bank, r.Row = loc.Bank, loc.Row
-		r.Group = geom.GroupOf(loc.Bank)
+		r.Bank, r.Row = uint8(loc.Bank), int32(loc.Row)
+		r.Group = uint8(geom.GroupOf(loc.Bank))
 	}
 	n := cfg.CommandsPerTile()
-	r.TSlot = r.Group*n + (in.TSlot+w.lane)%n
+	r.TSlot = uint16(int(r.Group)*n + (in.TSlot+w.lane)%n)
 	return r
+}
+
+// olRequest builds the OrderLight packet a warp's OrderLight instruction
+// injects, folding the instruction's extension groups into the packet's
+// group mask. The caller advances the warp's sequence and packet
+// numbers. config.Validate and NewMachine bound every narrowed field.
+func olRequest(id uint64, hostID int, w *warp, in isa.Instr) isa.Request {
+	return isa.Request{
+		ID: id, Kind: isa.KindOrderLight,
+		Channel: uint8(w.channel), Group: uint8(in.Group),
+		SM: int16(hostID), Warp: int16(w.id), Seq: w.seq,
+		OL: isa.OLPacket{
+			PktID:     isa.PktIDOrderLight,
+			Channel:   uint8(w.channel),
+			Group:     uint8(in.Group),
+			Number:    w.pktNum,
+			ExtraMask: isa.GroupMask(in.XGroups),
+		},
+	}
 }

@@ -173,27 +173,35 @@ func (o ALUOp) Apply(ts, operand, imm int32) int32 {
 
 // Request is one entry traveling down the memory pipe of Figure 6: a
 // fine-grained PIM command, a host access, or an OrderLight packet.
+//
+// Every queue of the model holds Requests by value and hands its head
+// out in place, so the type is kept to 64 bytes with no pointer fields:
+// the queue buffers are then plain memory the garbage collector never
+// scans. config.Validate rejects any configuration a sized field cannot
+// hold, and TestRequestLayout pins the size and the absence of pointers.
 type Request struct {
-	ID      uint64 // globally unique, for tracing and acks
+	ID   uint64 // globally unique, for tracing and acks
+	Seq  uint64 // per-warp program-order sequence number
+	Addr Addr   // target of the column access (memory kinds only)
+
 	Kind    Kind
 	Op      ALUOp // for PIMCompute/PIMExec/PIMScale
-	Addr    Addr  // target of the column access (memory kinds only)
-	Channel int   // memory channel (fixed at issue; PIM kernels know the mapping, §5.4)
-	Group   int   // PIM memory-group within the channel
-	Bank    int   // resolved by address mapping before the MC
-	Row     int
-	SM      int    // issuing SM
-	Warp    int    // issuing warp (global warp ID)
-	Seq     uint64 // per-warp program-order sequence number
-	TSlot   int    // temporary-storage slot (src for store, dst for load/compute)
-	Imm     int32  // scalar immediate for MAC/Scale
-	Lanes   int    // int32 lanes this command covers (BytesPerCommand/4)
+	Channel uint8 // memory channel (fixed at issue; PIM kernels know the mapping, §5.4)
+	Group   uint8 // PIM memory-group within the channel
+	Bank    uint8 // resolved by address mapping before the MC
+	// Copies is used by the copy-and-merge FSM: >0 marks a replica and
+	// records how many replicas the merge point must collect.
+	Copies uint8
+
+	SM    int16  // issuing SM
+	Warp  int16  // issuing warp (global warp ID); -1 for host traffic
+	TSlot uint16 // temporary-storage slot (src for store, dst for load/compute)
+
+	Row int32
+	Imm int32 // scalar immediate for MAC/Scale
 
 	// OL carries the packet payload when Kind == KindOrderLight.
 	OL OLPacket
-	// Copies is used by the copy-and-merge FSM: >0 marks a replica and
-	// records how many replicas the merge point must collect.
-	Copies int
 }
 
 // String renders a compact single-line description for traces.

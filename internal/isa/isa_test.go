@@ -1,9 +1,11 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindClassification(t *testing.T) {
@@ -130,7 +132,6 @@ func TestOLPacketValid(t *testing.T) {
 		{PktID: PktIDData, Channel: 0, Group: 0},
 		{PktID: PktIDOrderLight, Channel: 16},
 		{PktID: PktIDOrderLight, Group: 16},
-		{PktID: PktIDOrderLight, ExtraGroups: []uint8{16}},
 	} {
 		if bad.Valid() {
 			t.Errorf("packet %+v reported valid", bad)
@@ -139,7 +140,9 @@ func TestOLPacketValid(t *testing.T) {
 }
 
 func TestOLPacketGroupsDedup(t *testing.T) {
-	p := OLPacket{PktID: PktIDOrderLight, Group: 2, ExtraGroups: []uint8{3, 2, 3, 4}}
+	// The base group comes first; extension groups follow once each in
+	// ascending order, whatever order the instruction listed them in.
+	p := OLPacket{PktID: PktIDOrderLight, Group: 2, ExtraMask: GroupMask([]uint8{4, 2, 3, 4})}
 	got := p.Groups()
 	want := []uint8{2, 3, 4}
 	if len(got) != len(want) {
@@ -163,6 +166,61 @@ func TestRequestString(t *testing.T) {
 	ol := Request{ID: 2, Kind: KindOrderLight, OL: OLPacket{PktID: PktIDOrderLight, Channel: 1, Group: 0, Number: 9}}
 	if !strings.Contains(ol.String(), "OL{ch1 g0 #9}") {
 		t.Errorf("OL Request.String() = %q", ol.String())
+	}
+	ol.OL.ExtraMask = GroupMask([]uint8{5, 0, 3})
+	if !strings.Contains(ol.String(), "OL{ch1 g0+[3 5] #9}") {
+		t.Errorf("multi-group OL Request.String() = %q", ol.String())
+	}
+}
+
+// TestRequestLayout pins the diet every queue of the model relies on:
+// a Request stays within 64 bytes and holds no pointer, so queue
+// buffers are plain memory the garbage collector never scans and a
+// head read in place copies one cache line at most. A field addition
+// that breaks either property fails here.
+func TestRequestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(Request{}) = %d, want <= 64", got)
+	}
+	if path, ok := pointerFree(reflect.TypeOf(Request{}), "Request"); !ok {
+		t.Errorf("%s holds a pointer-carrying type; Request must stay pointer-free", path)
+	}
+}
+
+// pointerFree walks t and reports the first field path whose type is,
+// or contains, a pointer, slice, map, string, channel, function or
+// interface.
+func pointerFree(t reflect.Type, path string) (string, bool) {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return "", true
+	case reflect.Array:
+		return pointerFree(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p, ok := pointerFree(f.Type, path+"."+f.Name); !ok {
+				return p, false
+			}
+		}
+		return "", true
+	default:
+		return path + " (" + t.Kind().String() + ")", false
+	}
+}
+
+func TestPointerFreeRejects(t *testing.T) {
+	type withSlice struct {
+		A int
+		B []uint8
+	}
+	type nested struct{ In struct{ S string } }
+	for _, v := range []any{withSlice{}, nested{}, [2]*int{}, map[int]int{}} {
+		if _, ok := pointerFree(reflect.TypeOf(v), "v"); ok {
+			t.Errorf("pointerFree(%T) = true, want false", v)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // OLPacket is the OrderLight packet of Figure 8. The hardware format is
 // 42 bits:
@@ -11,7 +14,7 @@ import "fmt"
 //	[41:10] 32 b  packet number within (channel, group)
 //
 // The packet can be extended with additional 4-bit memory-group fields to
-// order across multiple groups (§5.3.1); ExtraGroups carries those. Only
+// order across multiple groups (§5.3.1); ExtraMask carries those. Only
 // the base 42-bit field is bit-packed by Encode.
 type OLPacket struct {
 	PktID   uint8  // 2-bit type tag; PktIDOrderLight for OL packets
@@ -19,9 +22,22 @@ type OLPacket struct {
 	Group   uint8  // 4-bit memory-group ID
 	Number  uint32 // 32-bit packet number within (channel, group)
 
-	// ExtraGroups lists additional memory-group IDs the packet orders
-	// (the optional repeated 4-bit fields of §5.3.1). Not bit-packed.
-	ExtraGroups []uint8
+	// ExtraMask holds the additional memory-groups the packet orders
+	// (the optional repeated 4-bit fields of §5.3.1) as a bit set: bit g
+	// set orders group g too. A 4-bit group ID fits 16 bits exactly, and
+	// a mask keeps the packet free of pointers. Not bit-packed.
+	ExtraMask uint16
+}
+
+// GroupMask folds a list of memory-group IDs into an ExtraMask. IDs must
+// be below 16; gpu.NewMachine rejects programs whose instructions name
+// any group the configuration does not have.
+func GroupMask(groups []uint8) uint16 {
+	var m uint16
+	for _, g := range groups {
+		m |= 1 << g
+	}
+	return m
 }
 
 // Packet-ID values for the 2-bit type tag.
@@ -67,40 +83,34 @@ func DecodeOLPacket(w uint64) OLPacket {
 // Valid reports whether the packet's fields fit their hardware widths
 // and the packet ID marks an OrderLight packet.
 func (p OLPacket) Valid() bool {
-	if p.PktID != PktIDOrderLight || p.Channel > 15 || p.Group > 15 {
-		return false
-	}
-	for _, g := range p.ExtraGroups {
-		if g > 15 {
-			return false
-		}
-	}
-	return true
+	return p.PktID == PktIDOrderLight && p.Channel <= 15 && p.Group <= 15
 }
 
+// Extra returns the extension groups as a mask without the base group,
+// so iterating its bits visits each additional group exactly once.
+func (p OLPacket) Extra() uint16 { return p.ExtraMask &^ (1 << p.Group) }
+
 // Groups returns every memory-group the packet orders: the base group
-// plus any extension fields, deduplicated, in first-appearance order.
+// first, then the extension groups in ascending order, deduplicated.
+// It allocates; hot paths walk Group and the bits of Extra instead.
 func (p OLPacket) Groups() []uint8 {
 	out := []uint8{p.Group}
-	for _, g := range p.ExtraGroups {
-		dup := false
-		for _, o := range out {
-			if o == g {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, g)
-		}
+	return append(out, maskGroups(p.Extra())...)
+}
+
+// maskGroups lists the set bits of a group mask in ascending order.
+func maskGroups(m uint16) []uint8 {
+	var out []uint8
+	for ; m != 0; m &= m - 1 {
+		out = append(out, uint8(bits.TrailingZeros16(m)))
 	}
 	return out
 }
 
 // String implements fmt.Stringer.
 func (p OLPacket) String() string {
-	if len(p.ExtraGroups) == 0 {
+	if p.Extra() == 0 {
 		return fmt.Sprintf("OL{ch%d g%d #%d}", p.Channel, p.Group, p.Number)
 	}
-	return fmt.Sprintf("OL{ch%d g%d+%v #%d}", p.Channel, p.Group, p.ExtraGroups, p.Number)
+	return fmt.Sprintf("OL{ch%d g%d+%v #%d}", p.Channel, p.Group, maskGroups(p.Extra()), p.Number)
 }

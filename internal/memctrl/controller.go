@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"orderlight/internal/config"
 	"orderlight/internal/core"
@@ -69,6 +70,12 @@ type txEntry struct {
 	epoch  core.Epoch
 	didACT bool // this transaction triggered its own activate (row miss)
 }
+
+// bank, row and group widen the request's sized fields to the int
+// indices the DRAM timing model and the ordering tracker take.
+func (e *txEntry) bank() int  { return int(e.r.Bank) }
+func (e *txEntry) row() int   { return int(e.r.Row) }
+func (e *txEntry) group() int { return int(e.r.Group) }
 
 // Sub-path indices of the read/write queue divergence point.
 const (
@@ -263,20 +270,20 @@ func (c *Controller) nextSchedule(cycle int64) int64 {
 		if e.r.Kind.IsWrite() {
 			cmd = dram.CmdWR
 		}
-		if t := c.timing.Earliest(cmd, e.r.Bank, e.r.Row); t >= 0 && t < next {
+		if t := c.timing.Earliest(cmd, e.bank(), e.row()); t >= 0 && t < next {
 			next = t
 		}
 		// Bank-progress wake-up (schedule's pass 2): the precharge or
 		// activate the transaction needs before its column can issue.
-		switch open := c.timing.OpenRow(e.r.Bank); {
-		case open == e.r.Row:
+		switch open := c.timing.OpenRow(e.bank()); {
+		case open == e.row():
 			// Row open; the column wake-up above covers it.
 		case open >= 0:
-			if t := c.timing.Earliest(dram.CmdPRE, e.r.Bank, open); t >= 0 && t < next {
+			if t := c.timing.Earliest(dram.CmdPRE, e.bank(), open); t >= 0 && t < next {
 				next = t
 			}
 		default:
-			if t := c.timing.Earliest(dram.CmdACT, e.r.Bank, e.r.Row); t >= 0 && t < next {
+			if t := c.timing.Earliest(dram.CmdACT, e.bank(), e.row()); t >= 0 && t < next {
 				next = t
 			}
 		}
@@ -345,7 +352,7 @@ func (c *Controller) dequeue() {
 		// scheduler's working set always contains the next expected
 		// request (otherwise the bounded working set could fill with
 		// younger requests and deadlock).
-		r, ok = c.conv.PopBest(func(a, b isa.Request) bool {
+		r, ok = c.conv.PopBest(func(a, b *isa.Request) bool {
 			if a.Kind.IsPIM() != b.Kind.IsPIM() {
 				return !a.Kind.IsPIM() // host traffic is unordered; let it through
 			}
@@ -359,29 +366,39 @@ func (c *Controller) dequeue() {
 	}
 	if r.Kind == isa.KindOrderLight {
 		c.st.OLMerges++
-		groups := r.OL.Groups()
+		// The base group, then each extension group of the mask: walking
+		// the bits directly keeps the merge allocation-free.
+		base, extra := true, r.OL.Extra()
 		if c.Fault.ShouldWeakenDrain(r.ID) {
 			// Weakened drain semantics: the packet's cross-group targets
 			// are never programmed into the tracker; a single-group packet
 			// is dropped at the controller outright, releasing its epoch's
 			// younger requests early.
-			if len(groups) > 1 {
-				c.Fault.RecordN(fault.PointOLWeakened, int64(len(groups)-1))
-				groups = groups[:1]
+			if extra != 0 {
+				c.Fault.RecordN(fault.PointOLWeakened, int64(bits.OnesCount16(extra)))
+				extra = 0
 			} else {
 				c.Fault.Record(fault.PointOLDropped)
-				groups = nil
+				base = false
 			}
 		}
-		for _, g := range groups {
-			if err := c.tracker.OrderLight(int(g), r.OL.Number); err != nil {
-				panic(fmt.Sprintf("memctrl: %v", err))
-			}
+		if base {
+			c.orderLight(int(r.OL.Group), r.OL.Number)
+		}
+		for ; extra != 0; extra &= extra - 1 {
+			c.orderLight(bits.TrailingZeros16(extra), r.OL.Number)
 		}
 		return
 	}
-	epoch := c.tracker.Arrive(r.Group)
+	epoch := c.tracker.Arrive(int(r.Group))
 	c.txq = append(c.txq, txEntry{r: r, epoch: epoch})
+}
+
+// orderLight programs one group's tracker with a merged packet.
+func (c *Controller) orderLight(group int, pktNum uint32) {
+	if err := c.tracker.OrderLight(group, pktNum); err != nil {
+		panic(fmt.Sprintf("memctrl: %v", err))
+	}
 }
 
 // schedule issues at most one DRAM command (or PIMExec bus slot) per
@@ -425,27 +442,27 @@ func (c *Controller) schedule(memCycle int64) {
 		if e.r.Kind == isa.KindPIMExec {
 			continue // never needs bank progress; bus contention only
 		}
-		open := c.timing.OpenRow(e.r.Bank)
+		open := c.timing.OpenRow(e.bank())
 		switch {
-		case open == e.r.Row:
+		case open == e.row():
 			// Row already open; just waiting out column timing.
 			return
 		case open >= 0:
-			if c.timing.CanIssue(dram.CmdPRE, e.r.Bank, open, memCycle) {
-				c.timing.Issue(dram.CmdPRE, e.r.Bank, open, memCycle)
+			if c.timing.CanIssue(dram.CmdPRE, e.bank(), open, memCycle) {
+				c.timing.Issue(dram.CmdPRE, e.bank(), open, memCycle)
 				c.st.PreCmds++
 				if c.Sink != nil {
-					c.emit("mc", "PRE", memCycle, 0, fmt.Sprintf("bank %d row %d", e.r.Bank, open))
+					c.emit("mc", "PRE", memCycle, 0, fmt.Sprintf("bank %d row %d", e.bank(), open))
 				}
 				return
 			}
 		default:
-			if c.timing.CanIssue(dram.CmdACT, e.r.Bank, e.r.Row, memCycle) {
-				c.timing.Issue(dram.CmdACT, e.r.Bank, e.r.Row, memCycle)
+			if c.timing.CanIssue(dram.CmdACT, e.bank(), e.row(), memCycle) {
+				c.timing.Issue(dram.CmdACT, e.bank(), e.row(), memCycle)
 				c.st.ActCmds++
 				e.didACT = true
 				if c.Sink != nil {
-					c.emit("mc", "ACT", memCycle, 0, fmt.Sprintf("bank %d row %d", e.r.Bank, e.r.Row))
+					c.emit("mc", "ACT", memCycle, 0, fmt.Sprintf("bank %d row %d", e.bank(), e.row()))
 				}
 				return
 			}
@@ -465,7 +482,7 @@ func (c *Controller) schedule(memCycle int64) {
 // by schedule, nextSchedule and issueColumn so the dense run, the
 // quiescence hint and the injection accounting always agree.
 func (c *Controller) canIssue(e *txEntry) bool {
-	if c.tracker.CanIssue(e.r.Group, e.epoch) {
+	if c.tracker.CanIssue(e.group(), e.epoch) {
 		return true
 	}
 	return c.Fault.ShouldBypassOrdering(e.r.ID)
@@ -481,21 +498,21 @@ func (c *Controller) columnReady(e *txEntry, memCycle int64) bool {
 	if e.r.Kind.IsWrite() {
 		cmd = dram.CmdWR
 	}
-	return c.timing.CanIssue(cmd, e.r.Bank, e.r.Row, memCycle)
+	return c.timing.CanIssue(cmd, e.bank(), e.row(), memCycle)
 }
 
 // issueColumn completes transaction i: the column command (or exec slot)
 // issues to the device, the PIM unit executes the command functionally,
 // ordering state advances, and the completion callback fires.
 func (c *Controller) issueColumn(i int, memCycle int64) {
-	e := c.txq[i]
+	e := &c.txq[i]
 	if e.r.Kind != isa.KindPIMExec {
 		cmd := dram.CmdRD
 		name := "RD"
 		if e.r.Kind.IsWrite() {
 			cmd, name = dram.CmdWR, "WR"
 		}
-		c.timing.Issue(cmd, e.r.Bank, e.r.Row, memCycle)
+		c.timing.Issue(cmd, e.bank(), e.row(), memCycle)
 		if e.didACT {
 			c.st.RowMisses++
 		} else {
@@ -503,12 +520,12 @@ func (c *Controller) issueColumn(i int, memCycle int64) {
 		}
 		if c.Sink != nil {
 			c.emit("mc", name, memCycle, 0,
-				fmt.Sprintf("#%d bank %d row %d", e.r.ID, e.r.Bank, e.r.Row))
+				fmt.Sprintf("#%d bank %d row %d", e.r.ID, e.bank(), e.row()))
 		}
 	} else if c.Sink != nil {
 		c.emit("mc", "exec", memCycle, 0, fmt.Sprintf("#%d", e.r.ID))
 	}
-	if c.Fault != nil && !c.tracker.CanIssue(e.r.Group, e.epoch) {
+	if c.Fault != nil && !c.tracker.CanIssue(e.group(), e.epoch) {
 		// The transaction is issuing past an undrained older epoch: the
 		// canIssue bypass actually fired. Count it here, where the
 		// reorder becomes real, not at every scheduler glance.
@@ -525,11 +542,11 @@ func (c *Controller) issueColumn(i int, memCycle int64) {
 		}
 		if c.Sink != nil {
 			c.emit("pim", fmt.Sprintf("%v", e.r.Kind), memCycle, 0,
-				fmt.Sprintf("#%d g%d slot %d", e.r.ID, e.r.Group, e.r.TSlot))
+				fmt.Sprintf("#%d g%d slot %d", e.r.ID, e.group(), e.r.TSlot))
 		}
 	}
 	c.st.CountCmd(e.r.Kind)
-	c.tracker.Issued(e.r.Group, e.epoch)
+	c.tracker.Issued(e.group(), e.epoch)
 	if c.seqno && e.r.Kind.IsPIM() {
 		c.nextSeq = e.r.Seq + 1
 	}

@@ -5,6 +5,7 @@ import (
 
 	"orderlight/internal/config"
 	"orderlight/internal/dram"
+	"orderlight/internal/fault"
 	"orderlight/internal/isa"
 	"orderlight/internal/stats"
 )
@@ -25,13 +26,13 @@ func req(geom dram.Geometry, id uint64, kind isa.Kind, op isa.ALUOp, bank, row, 
 	addr := geom.Encode(dram.Loc{Channel: 0, Bank: bank, Row: row, Col: col})
 	return isa.Request{
 		ID: id, Kind: kind, Op: op, Addr: addr,
-		Channel: 0, Group: geom.GroupOf(bank), Bank: bank, Row: row, TSlot: slot,
+		Channel: 0, Group: uint8(geom.GroupOf(bank)), Bank: uint8(bank), Row: int32(row), TSlot: uint16(slot),
 	}
 }
 
 func olReq(id uint64, group int, num uint32) isa.Request {
 	return isa.Request{
-		ID: id, Kind: isa.KindOrderLight, Channel: 0, Group: group,
+		ID: id, Kind: isa.KindOrderLight, Channel: 0, Group: uint8(group),
 		OL: isa.OLPacket{PktID: isa.PktIDOrderLight, Channel: 0, Group: uint8(group), Number: num},
 	}
 }
@@ -176,6 +177,42 @@ func TestControllerOLMergesOnceAcrossQueues(t *testing.T) {
 	}
 	if st.PIMCommands != 3 {
 		t.Fatalf("PIMCommands = %d, want 3", st.PIMCommands)
+	}
+}
+
+// TestControllerMultiGroupOLMerge checks that a merged packet programs
+// its base group and every extension group of its mask (a repeated base
+// bit once), and that a weakened drain programs the base group only and
+// counts each extension group it dropped.
+func TestControllerMultiGroupOLMerge(t *testing.T) {
+	for _, weaken := range []bool{false, true} {
+		cfg := config.Default()
+		c, _, geom, _ := newTestController(cfg)
+		if weaken {
+			c.Fault = fault.NewPlan(fault.Spec{Class: fault.ClassWeakenDrain, Seed: 1, Rate: 1})
+		}
+		// One outstanding store in each of groups 0, 1 and 2, then the
+		// packet. Four ticks dequeue all four entries; no store can
+		// reach its column command that fast (each needs an activate).
+		for i, bank := range []int{0, 4, 8} {
+			c.Accept(req(geom, uint64(i+1), isa.KindPIMStore, isa.OpNop, bank, 9, 0, i))
+		}
+		ol := olReq(4, 0, 0)
+		ol.OL.ExtraMask = isa.GroupMask([]uint8{2, 0, 1})
+		c.Accept(ol)
+		for cy := int64(0); cy < 4; cy++ {
+			c.Tick(cy)
+		}
+		for g, want := range []bool{true, !weaken, !weaken} {
+			if got := c.Tracker().Blocked(g); got != want {
+				t.Errorf("weaken=%t: group %d blocked = %t, want %t", weaken, g, got, want)
+			}
+		}
+		if weaken {
+			if n := c.Fault.Report().Points[fault.PointOLWeakened]; n != 2 {
+				t.Errorf("PointOLWeakened = %d, want 2 (extension groups 1 and 2)", n)
+			}
+		}
 	}
 }
 

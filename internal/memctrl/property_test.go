@@ -50,7 +50,7 @@ func TestControllerEpochOrderProperty(t *testing.T) {
 				kind = isa.KindPIMStore
 			}
 			r := req(geom, id, kind, isa.OpNop, bank, row, col, 0)
-			sent[id] = tag{group: r.Group, epoch: epochOf[r.Group]}
+			sent[id] = tag{group: int(r.Group), epoch: epochOf[int(r.Group)]}
 			queue = append(queue, r)
 			id++
 		}

@@ -108,29 +108,20 @@ func (l *Link) Push(now sim.Time, r isa.Request) {
 	l.routes[best].Push(now, r)
 }
 
-// Peek returns the request Pop would emit this cycle without removing
-// it. The selection is deterministic, so a Peek followed by a Pop in
-// the same cycle returns the same request — the pattern the machine
-// uses to apply downstream backpressure.
-func (l *Link) Peek(now sim.Time) (isa.Request, bool) {
-	for _, rt := range l.routes {
-		h, ok := rt.Peek(now)
-		if !ok || h.Kind != isa.KindOrderLight {
-			continue
-		}
-		if l.mergeReady(now, h) {
-			return core.Replicate(h, 0), true
-		}
+// Peek returns, in place, the request Pop would emit this cycle, or nil.
+// For a merged OrderLight packet it is one of the copies: Pop clears
+// its Copies count. The selection is deterministic, so a Peek followed
+// by a Pop in the same cycle takes the same request — the pattern the
+// machine uses to apply downstream backpressure. The pointer is valid
+// until the next Push or Pop.
+func (l *Link) Peek(now sim.Time) *isa.Request {
+	if h := l.mergeHead(now); h != nil {
+		return h
 	}
-	for k := 0; k < len(l.routes); k++ {
-		i := (l.rr + k) % len(l.routes)
-		h, ok := l.routes[i].Peek(now)
-		if !ok || h.Kind == isa.KindOrderLight {
-			continue
-		}
-		return h, true
+	if i := l.nextRoute(now); i >= 0 {
+		return l.routes[i].Head(now)
 	}
-	return isa.Request{}, false
+	return nil
 }
 
 // Pop emits the next request at the receiving end, at most one per
@@ -138,47 +129,58 @@ func (l *Link) Peek(now sim.Time) (isa.Request, bool) {
 // merged packet is emitted once every copy has arrived at its route's
 // head, and no younger request overtakes it.
 func (l *Link) Pop(now sim.Time) (isa.Request, bool) {
-	// Merge pass.
-	for _, rt := range l.routes {
-		h, ok := rt.Peek(now)
-		if !ok || h.Kind != isa.KindOrderLight {
-			continue
-		}
-		if l.mergeReady(now, h) {
-			for _, o := range l.routes {
-				if oh, ok := o.Peek(now); ok && oh.Kind == isa.KindOrderLight && oh.ID == h.ID {
-					o.Pop(now)
-				}
+	if h := l.mergeHead(now); h != nil {
+		r := core.Replicate(*h, 0)
+		for _, o := range l.routes {
+			if oh := o.Head(now); oh != nil && oh.Kind == isa.KindOrderLight && oh.ID == r.ID {
+				o.Pop(now)
 			}
-			l.Merges++
-			return core.Replicate(h, 0), true
+		}
+		l.Merges++
+		return r, true
+	}
+	i := l.nextRoute(now)
+	if i < 0 {
+		return isa.Request{}, false
+	}
+	l.rr = (i + 1) % len(l.routes)
+	return l.routes[i].Pop(now)
+}
+
+// mergeHead returns the first route head that is an OrderLight copy
+// whose sibling copies have all arrived, or nil.
+func (l *Link) mergeHead(now sim.Time) *isa.Request {
+	for _, rt := range l.routes {
+		if h := rt.Head(now); h != nil && h.Kind == isa.KindOrderLight && l.mergeReady(now, h) {
+			return h
 		}
 	}
-	// Round-robin drain of ready non-OL heads.
+	return nil
+}
+
+// nextRoute returns the round-robin pick among routes whose ready head
+// is a normal request, or -1.
+func (l *Link) nextRoute(now sim.Time) int {
 	for k := 0; k < len(l.routes); k++ {
 		i := (l.rr + k) % len(l.routes)
-		h, ok := l.routes[i].Peek(now)
-		if !ok || h.Kind == isa.KindOrderLight {
-			continue
+		if h := l.routes[i].Head(now); h != nil && h.Kind != isa.KindOrderLight {
+			return i
 		}
-		l.routes[i].Pop(now)
-		l.rr = (i + 1) % len(l.routes)
-		return h, true
 	}
-	return isa.Request{}, false
+	return -1
 }
 
 // mergeReady reports whether all copies of h have arrived at their
 // routes' heads.
-func (l *Link) mergeReady(now sim.Time, h isa.Request) bool {
-	if h.Copies <= 0 {
+func (l *Link) mergeReady(now sim.Time, h *isa.Request) bool {
+	if h.Copies == 0 {
 		return true
 	}
 	n := 0
 	for _, rt := range l.routes {
-		if hd, ok := rt.Peek(now); ok && hd.Kind == isa.KindOrderLight && hd.ID == h.ID {
+		if hd := rt.Head(now); hd != nil && hd.Kind == isa.KindOrderLight && hd.ID == h.ID {
 			n++
 		}
 	}
-	return n == h.Copies
+	return n == int(h.Copies)
 }

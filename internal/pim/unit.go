@@ -66,11 +66,11 @@ func (u *Unit) Slot(i int) []int32 {
 // malformed commands (wrong channel, bad TS slot, non-PIM kind); the
 // simulator treats such an error as a fatal modeling bug.
 func (u *Unit) Exec(r isa.Request) error {
-	if r.Channel != u.channel {
+	if int(r.Channel) != u.channel {
 		return fmt.Errorf("pim: command for channel %d reached unit of channel %d", r.Channel, u.channel)
 	}
 	if r.Kind != isa.KindPIMScale && r.Kind.IsPIM() {
-		if r.TSlot < 0 || r.TSlot >= len(u.slots) {
+		if int(r.TSlot) >= len(u.slots) {
 			return fmt.Errorf("pim: TS slot %d out of range [0,%d) for %v", r.TSlot, len(u.slots), r)
 		}
 	}

@@ -82,10 +82,15 @@ func Execute(ctx context.Context, req *JobRequest) (*JobResult, error) {
 			}
 		}
 	}
+	// The engine is built per job, so its kernel cache hits only when
+	// one job builds a cell image twice: a multi-cell grid, the fault
+	// oracle's pristine rebuild, or a retried cell. A plain single-cell
+	// job builds once and would pay a full image clone for the miss, so
+	// it runs without the cache.
 	eng := runner.New(runner.Options{
 		Parallelism:        o.Parallelism,
 		Progress:           o.Progress,
-		DisableKernelCache: o.NoKernelCache,
+		DisableKernelCache: o.NoKernelCache || (!req.MultiCell() && !o.Fault.Active() && o.Retries == 0),
 		DenseEngine:        o.Dense || o.Engine == "dense",
 		TwinEngine:         o.Engine == "twin",
 		Twin:               pred,

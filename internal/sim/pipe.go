@@ -68,13 +68,15 @@ func (p *Pipe[T]) grow() {
 	p.head = 0
 }
 
-// Peek returns the oldest entry if it has arrived by time now.
-func (p *Pipe[T]) Peek(now Time) (T, bool) {
+// Head returns the oldest entry in place if it has arrived by time now,
+// or nil. The pointer is valid until the next Push or Pop; reading a
+// head through it copies nothing, so consumers that only inspect a head
+// before deciding whether to take it pay for the copy only on Pop.
+func (p *Pipe[T]) Head(now Time) *T {
 	if p.n == 0 || p.buf[p.head].ready > now {
-		var zero T
-		return zero, false
+		return nil
 	}
-	return p.buf[p.head].v, true
+	return &p.buf[p.head].v
 }
 
 // NextReady returns the arrival time of the oldest in-flight entry, or
@@ -89,10 +91,12 @@ func (p *Pipe[T]) NextReady() Time {
 
 // Pop removes and returns the oldest entry if it has arrived by time now.
 func (p *Pipe[T]) Pop(now Time) (T, bool) {
-	v, ok := p.Peek(now)
-	if !ok {
-		return v, false
+	h := p.Head(now)
+	if h == nil {
+		var zero T
+		return zero, false
 	}
+	v := *h
 	p.buf[p.head] = pipeEntry[T]{}
 	p.head = (p.head + 1) % len(p.buf)
 	p.n--
@@ -168,13 +172,13 @@ func (q *Queue[T]) grow() {
 	q.head = 0
 }
 
-// Peek returns the oldest entry without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
+// Head returns the oldest entry in place, or nil when the queue is
+// empty. The pointer is valid until the next Push, Pop or RemoveAt.
+func (q *Queue[T]) Head() *T {
 	if q.n == 0 {
-		var zero T
-		return zero, false
+		return nil
 	}
-	return q.buf[q.head], true
+	return &q.buf[q.head]
 }
 
 // Pop removes and returns the oldest entry.

@@ -121,7 +121,7 @@ func TestPipeLatencyAndOrder(t *testing.T) {
 	p := NewPipe[int](100, 4)
 	p.Push(0, 1)
 	p.Push(10, 2)
-	if _, ok := p.Peek(99); ok {
+	if p.Head(99) != nil {
 		t.Fatal("entry visible before latency elapsed")
 	}
 	if v, ok := p.Pop(100); !ok || v != 1 {
@@ -211,6 +211,37 @@ func TestQueueFIFOAndRemoveAt(t *testing.T) {
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
+	}
+}
+
+// TestHeadInPlace pins that Head hands out the stored entry itself, not
+// a copy: a write through it is what Pop later returns.
+func TestHeadInPlace(t *testing.T) {
+	q := NewQueue[int](2)
+	if q.Head() != nil {
+		t.Fatal("Head of an empty queue is not nil")
+	}
+	q.Push(1)
+	q.Push(2)
+	*q.Head() = 7
+	if v, _ := q.Pop(); v != 7 {
+		t.Fatalf("Pop after writing through Head = %d, want 7", v)
+	}
+	if h := q.Head(); h == nil || *h != 2 {
+		t.Fatalf("Head after Pop = %v, want 2", h)
+	}
+
+	p := NewPipe[int](10, 0)
+	p.Push(0, 1)
+	if p.Head(9) != nil {
+		t.Fatal("pipe Head visible before latency elapsed")
+	}
+	*p.Head(10) = 5
+	if v, ok := p.Pop(10); !ok || v != 5 {
+		t.Fatalf("pipe Pop after writing through Head = %d,%v, want 5,true", v, ok)
+	}
+	if p.Head(TimeInf-1) != nil {
+		t.Fatal("Head of an empty pipe is not nil")
 	}
 }
 

@@ -74,7 +74,7 @@ func New(max int) *Tracer {
 // Record appends an event.
 func (t *Tracer) Record(at sim.Time, stage Stage, r isa.Request) {
 	t.total++
-	ev := Event{At: at, Stage: stage, Channel: r.Channel, Req: r}
+	ev := Event{At: at, Stage: stage, Channel: int(r.Channel), Req: r}
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, ev)
 		return
@@ -122,7 +122,8 @@ func (l Lifecycle) Latency() sim.Time {
 }
 
 // Lifecycles groups the retained events by request ID, ordered by
-// injection time. Requests with no retained inject event are dropped.
+// injection time, then by ID among requests injected in the same
+// cycle. Requests with no retained inject event are dropped.
 func (t *Tracer) Lifecycles() []Lifecycle {
 	byID := map[uint64]*Lifecycle{}
 	for _, ev := range t.Events() {
@@ -140,7 +141,10 @@ func (t *Tracer) Lifecycles() []Lifecycle {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return out[i].Stamps[StageInject] < out[j].Stamps[StageInject]
+		if out[i].Stamps[StageInject] != out[j].Stamps[StageInject] {
+			return out[i].Stamps[StageInject] < out[j].Stamps[StageInject]
+		}
+		return out[i].Req.ID < out[j].Req.ID
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,6 +66,25 @@ func TestLifecycleAssembly(t *testing.T) {
 	}
 	if lcs[1].Latency() != 0 {
 		t.Fatal("request without device stamp should report zero latency")
+	}
+}
+
+// TestLifecycleTiesOrderedByID pins a deterministic order for requests
+// injected in the same cycle: Lifecycles walks a map, so without the ID
+// tie-break the oltrace timeline reshuffled its rows run to run.
+func TestLifecycleTiesOrderedByID(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		tr := New(64)
+		for _, id := range []uint64{5, 2, 9, 1, 7} {
+			tr.Record(sim.Time(34), StageInject, req(id))
+		}
+		var got []uint64
+		for _, lc := range tr.Lifecycles() {
+			got = append(got, lc.Req.ID)
+		}
+		if fmt.Sprint(got) != "[1 2 5 7 9]" {
+			t.Fatalf("same-cycle lifecycles in order %v, want [1 2 5 7 9]", got)
+		}
 	}
 }
 
