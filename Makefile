@@ -290,14 +290,20 @@ check-twin:
 # at seed 3 and fails when a run exits non-zero, when any op came back
 # incorrect, or when a workload's digest: line (a hash over the
 # simulated statistics of its first ops) differs from the committed
-# testdata/perfbench.digest. A host-speed change must leave every
-# digest unchanged; a change that moves simulated results on purpose
-# regenerates the file with perf-digest-update, which runs the same
-# checked loop and writes its digest lines instead of diffing them.
+# testdata/perfbench.digest. It also fails when a workload's
+# allocs_per_op lies more than 10% (BENCHMARK.json's allocs bound) from
+# testdata/perfbench.allocs; that baseline names the Go version it was
+# recorded with, and under any other version only the digests are
+# checked, because the runtime's own allocations differ between
+# releases. A host-speed change must leave every digest unchanged; a
+# change that moves simulated results or allocations on purpose
+# regenerates both files with perf-digest-update, which runs the same
+# checked loop and writes its lines instead of comparing them.
 # Timings are printed by perfbench and never gated here: shared-machine
 # spread is too wide for a fixed bound.
 perf-digest perf-digest-update:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	echo "go: $$($(GO) env GOVERSION)" >$$tmp/allocs; \
 	for w in sim-cold sim-warm serve-mix; do \
 		bash perfbench/run.sh --workload $$w --seed 3 --seconds 1 >$$tmp/$$w.out 2>$$tmp/$$w.err || { \
 			echo "$@: FAIL: perfbench $$w exited non-zero"; cat $$tmp/$$w.err; exit 1; }; \
@@ -305,12 +311,27 @@ perf-digest perf-digest-update:
 			echo "$@: FAIL: perfbench $$w reported incorrect ops"; tail -n 1 $$tmp/$$w.out; exit 1; }; \
 		grep '^digest:' $$tmp/$$w.out >>$$tmp/digest || { \
 			echo "$@: FAIL: perfbench $$w printed no digest: line"; exit 1; }; \
+		a=$$(tail -n 1 $$tmp/$$w.out | sed -n 's/.*"allocs_per_op":{[^}]*"value":\([0-9.e+]*\)}.*/\1/p'); \
+		[ -n "$$a" ] || { echo "$@: FAIL: perfbench $$w printed no allocs_per_op"; exit 1; }; \
+		printf 'allocs: workload=%s allocs_per_op=%.1f\n' $$w $$a >>$$tmp/allocs; \
 	done; \
 	if [ "$@" = perf-digest-update ]; then \
-		mv $$tmp/digest testdata/perfbench.digest; echo "$@: wrote testdata/perfbench.digest"; exit 0; fi; \
+		mv $$tmp/digest testdata/perfbench.digest; mv $$tmp/allocs testdata/perfbench.allocs; \
+		echo "$@: wrote testdata/perfbench.digest and testdata/perfbench.allocs"; exit 0; fi; \
 	diff testdata/perfbench.digest $$tmp/digest || { \
 		echo "$@: FAIL: simulated statistics moved (run 'make perf-digest-update' only if that is intended)"; exit 1; }; \
-	echo "$@: OK (sim-cold, sim-warm and serve-mix digests match testdata/perfbench.digest)"
+	echo "$@: OK (sim-cold, sim-warm and serve-mix digests match testdata/perfbench.digest)"; \
+	if [ "$$(head -n 1 testdata/perfbench.allocs)" != "$$(head -n 1 $$tmp/allocs)" ]; then \
+		echo "$@: note: testdata/perfbench.allocs was recorded with $$(head -n 1 testdata/perfbench.allocs), this is $$(head -n 1 $$tmp/allocs); allocs_per_op not checked"; exit 0; fi; \
+	awk -v tgt=$@ 'NR == FNR { if ($$1 == "allocs:") { split($$3, kv, "="); base[$$2] = kv[2] } next } \
+		$$1 == "allocs:" { split($$3, kv, "="); b = base[$$2]; \
+			if (b == "") { printf "%s: FAIL: %s has no allocs baseline\n", tgt, $$2; bad = 1; next } \
+			d = (kv[2] - b) / b; ok = d <= 0.1 && d >= -0.1; \
+			printf "%s: %s allocs_per_op %s (baseline %s, %+.1f%%)%s\n", tgt, $$2, kv[2], b, 100 * d, ok ? "" : " FAIL: outside 10%"; \
+			if (!ok) bad = 1 } \
+		END { exit bad }' testdata/perfbench.allocs $$tmp/allocs || { \
+		echo "$@: FAIL: allocations moved (run 'make perf-digest-update' only if that is intended)"; exit 1; }; \
+	echo "$@: OK (allocs_per_op within 10% of testdata/perfbench.allocs)"
 
 # results regenerates results_all.md — every experiment's tables plus a
 # collapsed per-cell run-manifest block (config hash, seed, engine,
@@ -322,9 +343,6 @@ results:
 	@if [ -f calibration.olcal ]; then \
 		$(GO) run ./cmd/olwhatif -report -calibration calibration.olcal >> results_all.md; \
 		echo "results: appended twin error-bound table from calibration.olcal"; fi
-	@if [ -f $(BENCH_OUT).json ]; then \
-		$(GO) run ./cmd/benchjson -scaling $(BENCH_OUT).json >> results_all.md; \
-		echo "results: appended shard-scaling curve from $(BENCH_OUT).json"; fi
 	@echo "results: wrote results_all.md"
 
 # check-results fails when the committed results_all.md has drifted

@@ -171,6 +171,110 @@ func (o ALUOp) Apply(ts, operand, imm int32) int32 {
 	}
 }
 
+// ApplySlot computes dst[l] = o.Apply(ts[l], operand[l], imm) for every
+// lane of dst: one dispatch per slot, then a tight loop per op. ts and
+// operand must be at least as long as dst. Any of the three may alias
+// one another (the PIM unit computes in place with dst == ts, and scales
+// a column with ts == operand), because lane l reads only lane l.
+func (o ALUOp) ApplySlot(dst, ts, operand []int32, imm int32) {
+	ts, operand = ts[:len(dst)], operand[:len(dst)]
+	switch o {
+	case OpNop:
+		copy(dst, ts)
+	case OpAdd:
+		for l := range dst {
+			dst[l] = ts[l] + operand[l]
+		}
+	case OpMul:
+		for l := range dst {
+			dst[l] = ts[l] * operand[l]
+		}
+	case OpMAC:
+		for l := range dst {
+			dst[l] = ts[l] + imm*operand[l]
+		}
+	case OpScale:
+		for l := range dst {
+			dst[l] = imm * operand[l]
+		}
+	case OpCopy:
+		copy(dst, operand)
+	case OpSub:
+		for l := range dst {
+			dst[l] = ts[l] - operand[l]
+		}
+	case OpMax:
+		for l := range dst {
+			dst[l] = max(ts[l], operand[l])
+		}
+	case OpXor:
+		for l := range dst {
+			dst[l] = ts[l] ^ operand[l]
+		}
+	case OpIncr:
+		for l := range dst {
+			dst[l] = operand[l] + imm
+		}
+	default:
+		panic(fmt.Sprintf("isa: ApplySlot on unknown op %v", o))
+	}
+}
+
+// ApplyScalar computes dst[l] = o.Apply(ts[l], imm, imm) for every lane
+// of dst: the form of a PIM exec command, whose operand is its own
+// immediate. ts must be at least as long as dst and may alias it. With
+// a constant operand, add, MAC and sub all add one constant (int32
+// wraps, so ts - imm == ts + -imm even at MinInt32), and the ops that
+// ignore ts fill dst with one.
+func (o ALUOp) ApplyScalar(dst, ts []int32, imm int32) {
+	ts = ts[:len(dst)]
+	switch o {
+	case OpNop:
+		copy(dst, ts)
+	case OpAdd:
+		addConst(dst, ts, imm)
+	case OpMAC:
+		addConst(dst, ts, imm*imm)
+	case OpSub:
+		addConst(dst, ts, -imm)
+	case OpMul:
+		for l := range dst {
+			dst[l] = ts[l] * imm
+		}
+	case OpMax:
+		for l := range dst {
+			dst[l] = max(ts[l], imm)
+		}
+	case OpXor:
+		for l := range dst {
+			dst[l] = ts[l] ^ imm
+		}
+	case OpScale:
+		fill(dst, imm*imm)
+	case OpCopy:
+		fill(dst, imm)
+	case OpIncr:
+		fill(dst, imm+imm)
+	default:
+		panic(fmt.Sprintf("isa: ApplyScalar on unknown op %v", o))
+	}
+}
+
+// addConst sets dst[l] = ts[l] + c; ts is as long as dst.
+func addConst(dst, ts []int32, c int32) {
+	ts = ts[:len(dst)]
+	for l := range dst {
+		dst[l] = ts[l] + c
+	}
+}
+
+// fill sets every lane of dst to v.
+func fill(dst []int32, v int32) {
+	for l := range dst {
+		dst[l] = v
+	}
+}
+
 // Request is one entry traveling down the memory pipe of Figure 6: a
 // fine-grained PIM command, a host access, or an OrderLight packet.
 //

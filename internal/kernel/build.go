@@ -139,10 +139,19 @@ func (k *Kernel) buildChannel(cfg config.Config, geom dram.Geometry, spec Spec,
 			Col: idx % geom.SlotsPerRow,
 		})
 	}
+	// Lane l of slot idx of structure v holds
+	// int32(1+v) * int32(100*ch+10*idx+l%7+1). The lanes repeat with
+	// period 7, so the first 7 are computed and then doubled by copying
+	// (each copy starts at a multiple of 7). Adding and multiplying in
+	// int32 wraps to the same values as converting the int sum to int32.
 	vals := make([]int32, geom.LanesPerSlot) // reused: Write copies
 	initSlot := func(a isa.Addr, v, idx int) {
-		for l := range vals {
-			vals[l] = int32(1+v) * int32(100*ch+10*idx+l%7+1)
+		scale, base := int32(1+v), int32(100*ch+10*idx+1)
+		for l := range vals[:min(7, len(vals))] {
+			vals[l] = scale * (base + int32(l))
+		}
+		for l := 7; l < len(vals); l *= 2 {
+			copy(vals[l:], vals[:l])
 		}
 		k.Store.Write(a, vals)
 	}

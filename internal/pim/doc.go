@@ -15,7 +15,14 @@
 //
 // Temporary-storage capacity (Config.PIM.TSBytes) bounds how many
 // command slots a tile may use; the TS-fraction axis of Figures 5, 10a
-// and 10b sweeps it. Executed-command counts by kind feed the command
-// taxonomy rows of the experiment tables, and each execution is also
-// visible on the channel's "pim" track in exported Perfetto traces.
+// and 10b sweeps it. The unit keeps no statistics of its own: the
+// command taxonomy rows of the experiment tables come from
+// stats.Run.CmdsByKind, which the machine counts as it issues each
+// command, and each execution is also visible on the channel's "pim"
+// track in exported Perfetto traces.
+//
+// The ALU works slot-wide: Exec dispatches on the command's op once and
+// runs a tight loop over all 8*BMF lanes (isa.ALUOp.ApplySlot and
+// ApplyScalar). isa.ALUOp.Apply is the per-lane reference those loops
+// are tested against.
 package pim

@@ -7,13 +7,14 @@ import (
 )
 
 // UnitState is a PIM unit's checkpointable state: the temporary-storage
-// slots, the deferred-execution queue and the per-kind execution
-// counters. The backing store is checkpointed separately (it is shared
-// machine-wide), so UnitState deliberately excludes it.
+// slots and the deferred-execution queue. The backing store is
+// checkpointed separately (it is shared machine-wide), so UnitState
+// deliberately excludes it. Version-2 checkpoints written before the
+// per-kind execution counter was dropped still carry an Executed field;
+// gob skips it on decode.
 type UnitState struct {
 	Slots    [][]int32
 	Deferred []DeferredState
-	Executed map[isa.Kind]int64
 }
 
 // DeferredState is one deferred command and its due cycle.
@@ -24,18 +25,12 @@ type DeferredState struct {
 
 // State deep-copies the unit's mutable state.
 func (u *Unit) State() UnitState {
-	s := UnitState{
-		Slots:    make([][]int32, len(u.slots)),
-		Executed: make(map[isa.Kind]int64, len(u.Executed)),
-	}
+	s := UnitState{Slots: make([][]int32, len(u.slots))}
 	for i, sl := range u.slots {
 		s.Slots[i] = append([]int32(nil), sl...)
 	}
 	for _, d := range u.deferred {
 		s.Deferred = append(s.Deferred, DeferredState{R: d.r, Due: d.due})
-	}
-	for k, n := range u.Executed {
-		s.Executed[k] = n
 	}
 	return s
 }
@@ -54,10 +49,6 @@ func (u *Unit) Restore(s UnitState) error {
 	u.deferred = u.deferred[:0]
 	for _, d := range s.Deferred {
 		u.deferred = append(u.deferred, deferredCmd{r: d.R, due: d.Due})
-	}
-	u.Executed = make(map[isa.Kind]int64, len(s.Executed))
-	for k, n := range s.Executed {
-		u.Executed[k] = n
 	}
 	return nil
 }

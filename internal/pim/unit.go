@@ -22,9 +22,6 @@ type Unit struct {
 	// per-plan lag, so due times are non-decreasing and RunDue drains
 	// from the front.
 	deferred []deferredCmd
-
-	// Executed counts commands by kind, for statistics.
-	Executed map[isa.Kind]int64
 }
 
 // deferredCmd is one command awaiting deferred execution.
@@ -39,12 +36,11 @@ func NewUnit(channel, nslots int, store *dram.Store) *Unit {
 	lanes := store.Lanes()
 	slab := make([]int32, (nslots+1)*lanes)
 	u := &Unit{
-		channel:  channel,
-		lanes:    lanes,
-		slots:    make([][]int32, nslots),
-		scratch:  slab[nslots*lanes:],
-		store:    store,
-		Executed: make(map[isa.Kind]int64),
+		channel: channel,
+		lanes:   lanes,
+		slots:   make([][]int32, nslots),
+		scratch: slab[nslots*lanes:],
+		store:   store,
 	}
 	for i := range u.slots {
 		u.slots[i] = slab[i*lanes : (i+1)*lanes : (i+1)*lanes]
@@ -78,27 +74,20 @@ func (u *Unit) Exec(r isa.Request) error {
 	case isa.KindPIMLoad:
 		copy(u.slots[r.TSlot], u.store.Read(r.Addr))
 	case isa.KindPIMCompute:
-		operand := u.store.Read(r.Addr)
 		slot := u.slots[r.TSlot]
-		for l := range slot {
-			slot[l] = r.Op.Apply(slot[l], operand[l], r.Imm)
-		}
+		r.Op.ApplySlot(slot, slot, u.store.Read(r.Addr), r.Imm)
 	case isa.KindPIMStore:
 		u.store.Write(r.Addr, u.slots[r.TSlot])
 	case isa.KindPIMScale:
-		for l, old := range u.store.Read(r.Addr) {
-			u.scratch[l] = r.Op.Apply(old, old, r.Imm)
-		}
+		old := u.store.Read(r.Addr)
+		r.Op.ApplySlot(u.scratch, old, old, r.Imm)
 		u.store.Write(r.Addr, u.scratch)
 	case isa.KindPIMExec:
 		slot := u.slots[r.TSlot]
-		for l := range slot {
-			slot[l] = r.Op.Apply(slot[l], r.Imm, r.Imm)
-		}
+		r.Op.ApplyScalar(slot, slot, r.Imm)
 	default:
 		return fmt.Errorf("pim: unit cannot execute %v", r.Kind)
 	}
-	u.Executed[r.Kind]++
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package pim
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 	"testing/quick"
 
@@ -37,9 +39,6 @@ func TestUnitVectorAddSequence(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("c = %v, want %v", got, want)
 		}
-	}
-	if u.Executed[isa.KindPIMLoad] != 1 || u.Executed[isa.KindPIMStore] != 1 {
-		t.Fatalf("Executed = %v", u.Executed)
 	}
 }
 
@@ -188,16 +187,22 @@ var execKinds = []isa.Request{
 	{Kind: isa.KindPIMScale, Op: isa.OpScale, Addr: 3, Imm: 1},
 }
 
-func newExecUnit() *Unit {
-	u, st := newTestUnit(2)
-	for a := isa.Addr(0); a < 4; a++ {
-		st.Write(a, []int32{1, 2, 3, 4})
+// newExecUnit returns a unit of the given lane width whose slots 0..3
+// are written.
+func newExecUnit(lanes int) *Unit {
+	st := dram.NewStore(lanes)
+	v := make([]int32, lanes)
+	for l := range v {
+		v[l] = int32(l + 1)
 	}
-	return u
+	for a := isa.Addr(0); a < 4; a++ {
+		st.Write(a, v)
+	}
+	return NewUnit(0, 2, st)
 }
 
 func TestUnitExecAllocs(t *testing.T) {
-	u := newExecUnit()
+	u := newExecUnit(4)
 	for _, r := range execKinds {
 		n := testing.AllocsPerRun(100, func() {
 			if err := u.Exec(r); err != nil {
@@ -210,13 +215,52 @@ func TestUnitExecAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkUnitExec times one command of each PIM kind at the Table 1
+// lane width: 8 x BMF 16 = 128 int32 lanes per slot.
 func BenchmarkUnitExec(b *testing.B) {
-	u := newExecUnit()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := u.Exec(execKinds[i%len(execKinds)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, r := range execKinds {
+		b.Run(r.Kind.String(), func(b *testing.B) {
+			u := newExecUnit(128)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := u.Exec(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreFromStateWithExecuted decodes a UnitState gob written while
+// the unit still kept a per-kind Executed counter map: gob skips the
+// field, so such a checkpoint restores unchanged.
+func TestRestoreFromStateWithExecuted(t *testing.T) {
+	type oldUnitState struct {
+		Slots    [][]int32
+		Deferred []DeferredState
+		Executed map[isa.Kind]int64
+	}
+	old := oldUnitState{
+		Slots:    [][]int32{{1, 2, 3, 4}, {5, 6, 7, 8}},
+		Deferred: []DeferredState{{R: isa.Request{Kind: isa.KindPIMStore, Addr: 2, TSlot: 1}, Due: 40}},
+		Executed: map[isa.Kind]int64{isa.KindPIMLoad: 2, isa.KindPIMStore: 1},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var s UnitState
+	if err := gob.NewDecoder(&buf).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	u, _ := newTestUnit(2)
+	if err := u.Restore(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := u.Slot(1); got[3] != 8 {
+		t.Fatalf("slot 1 = %v, want [5 6 7 8]", got)
+	}
+	if due, ok := u.NextDue(); !ok || due != 40 || u.Deferred() != 1 {
+		t.Fatalf("deferred = %d (next due %d, %v), want one due at 40", u.Deferred(), due, ok)
 	}
 }
