@@ -11,9 +11,9 @@ BENCH_OUT ?= BENCH_PR9
 BENCH_GATE ?= BenchmarkFig12Applications:75,BenchmarkFig10aStreamBandwidth:75
 COVER_FLOOR ?= 80.0
 FUZZTIME ?= 10s
-CKPT_FUZZTIME ?= 5s
+JOURNAL_FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race smoke smoke-serve smoke-fabric smoke-chaos cover fuzz-smoke fuzz-ckpt calibrate check-twin perf-digest perf-digest-update speedup bench bench-compare profile results check-results clean
+.PHONY: ci vet build test race smoke smoke-serve smoke-fabric smoke-chaos cover fuzz-smoke fuzz-journal calibrate check-twin perf-digest perf-digest-update speedup bench bench-compare profile results check-results clean
 
 # ci is the tier-1 gate: vet, build, the full test suite under the race
 # detector (including the serve handler tests), a parallel-vs-sequential
@@ -22,10 +22,10 @@ CKPT_FUZZTIME ?= 5s
 # sweep-fabric smoke (coordinator + two workers + mid-run SIGKILL), the
 # chaos drill (the same fabric under seeded network+disk fault
 # injection plus a coordinator SIGKILL/restart), a brief run of the
-# checkpoint-decoder fuzzer (crash-safety is a tier-1 property), the
+# journal-decoder fuzzer (crash-safety is a tier-1 property), the
 # twin-engine envelope gate (check-twin), and the perfbench
 # determinism gate (perf-digest).
-ci: vet build race smoke smoke-serve smoke-fabric smoke-chaos fuzz-ckpt check-twin perf-digest
+ci: vet build race smoke smoke-serve smoke-fabric smoke-chaos fuzz-journal check-twin perf-digest
 
 vet:
 	$(GO) vet ./...
@@ -39,10 +39,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# smoke checks the two CLI contracts end to end: olsim exits non-zero
+# smoke checks the CLI contracts end to end: olsim exits non-zero
 # exactly when verification fails (or names an engine that does not
-# exist), and olbench's parallel sweep and dense engine render
-# byte-identical output to a sequential (-parallel 1) skip-ahead one.
+# exist); olbench's parallel sweep and dense engine render
+# byte-identical output to a sequential (-parallel 1) skip-ahead one;
+# the fault campaign is deterministic; and an olbench sweep SIGKILLed
+# once its journal holds a cell resumes to byte-identical output
+# without simulating any journaled cell again (every journal line has
+# a distinct cell hash). That sweep must outlive its first journaled
+# cell by seconds: fig12 at 128 KiB runs 56 cells in about 4 s at
+# -parallel 1 on a 2-vCPU VM. The sweep finishing before the kill
+# fails the target: then it proved nothing.
 smoke:
 	@$(GO) build -o /tmp/ol-smoke-olsim ./cmd/olsim
 	@$(GO) build -o /tmp/ol-smoke-olbench ./cmd/olbench
@@ -70,20 +77,28 @@ smoke:
 	diff $$tmp/a.md $$tmp/b.md >/dev/null || { \
 		echo "smoke: FAIL: fault campaign not byte-identical across runs"; exit 1; }; \
 	echo "smoke: OK (fault campaign deterministic, zero escapes)"
-	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	/tmp/ol-smoke-olsim -kernel add -primitive orderlight -bytes $(SMOKE_SIZE) >$$tmp/full.txt; \
-	/tmp/ol-smoke-olsim -kernel add -primitive orderlight -bytes $(SMOKE_SIZE) \
-		-checkpoint-dir $$tmp/ck -stop-after 400 >/dev/null 2>&1; st=$$?; \
-	if [ $$st -ne 3 ]; then \
-		echo "smoke: FAIL: -stop-after run exited $$st, want 3 (halted)"; exit 1; fi; \
-	ls $$tmp/ck/*.ckpt >/dev/null 2>&1 || { \
-		echo "smoke: FAIL: halted run left no checkpoint on disk"; exit 1; }; \
-	/tmp/ol-smoke-olsim -kernel add -primitive orderlight -bytes $(SMOKE_SIZE) \
-		-checkpoint-dir $$tmp/ck -resume >$$tmp/resumed.txt || { \
-		echo "smoke: FAIL: resume from checkpoint failed"; exit 1; }; \
-	diff $$tmp/full.txt $$tmp/resumed.txt >/dev/null || { \
-		echo "smoke: FAIL: resumed run differs from uninterrupted run"; exit 1; }; \
-	echo "smoke: OK (checkpoint/kill/resume byte-identical)"
+	@tmp=$$(mktemp -d); pid=; trap 'kill -9 $$pid 2>/dev/null; rm -rf $$tmp' EXIT; \
+	/tmp/ol-smoke-olbench -exp fig12 -size 131072 -parallel 1 >$$tmp/full.md 2>/dev/null; \
+	/tmp/ol-smoke-olbench -exp fig12 -size 131072 -parallel 1 \
+		-checkpoint-dir $$tmp/ck >/dev/null 2>$$tmp/killed.log & pid=$$!; \
+	i=0; until [ -s $$tmp/ck/journal.jsonl ]; do \
+		if [ $$i -ge 1000 ]; then \
+			echo "smoke: FAIL: sweep journaled no cell within 20s"; cat $$tmp/killed.log; exit 1; fi; \
+		sleep 0.02; i=$$((i+1)); done; \
+	kill -9 $$pid; { wait $$pid; } 2>/dev/null; st=$$?; pid=; \
+	if [ $$st -ne 137 ]; then \
+		echo "smoke: FAIL: sweep exited $$st before the SIGKILL landed; enlarge the sweep"; exit 1; fi; \
+	killed=$$(wc -l <$$tmp/ck/journal.jsonl); \
+	/tmp/ol-smoke-olbench -exp fig12 -size 131072 -parallel 1 \
+		-checkpoint-dir $$tmp/ck -resume >$$tmp/resumed.md 2>$$tmp/resumed.log || { \
+		echo "smoke: FAIL: resume from the cell journal failed"; cat $$tmp/resumed.log; exit 1; }; \
+	diff $$tmp/full.md $$tmp/resumed.md >/dev/null || { \
+		echo "smoke: FAIL: resumed sweep differs from uninterrupted run"; exit 1; }; \
+	lines=$$(wc -l <$$tmp/ck/journal.jsonl); \
+	cells=$$(grep -o '"Hash":"[0-9a-f]*"' $$tmp/ck/journal.jsonl | sort -u | wc -l); \
+	if [ $$lines -ne $$cells ]; then \
+		echo "smoke: FAIL: $$((lines - cells)) journaled cell(s) simulated again on resume"; exit 1; fi; \
+	echo "smoke: OK (olbench SIGKILLed after $$killed journaled cells; resume simulated the other $$((lines - killed)), byte-identical)"
 
 # smoke-serve checks the daemon contract end to end: a real olserve
 # process serves a figure byte-identically to a local run, SIGTERM
@@ -252,16 +267,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/isa
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelSpec$$' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME) ./internal/runner
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime $(FUZZTIME) ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzResultCacheDecode$$' -fuzztime $(FUZZTIME) ./internal/rcache
 	$(GO) test -run '^$$' -fuzz '^FuzzCalibrationDecode$$' -fuzztime $(FUZZTIME) ./internal/twin
 	$(GO) test -run '^$$' -fuzz '^FuzzChaosPlanDecode$$' -fuzztime $(FUZZTIME) ./internal/chaos
 
-# fuzz-ckpt is the short ci-gate slice of the checkpoint fuzzer: a few
-# seconds is enough to replay the committed corpus plus a burst of
-# mutations on every ci run.
-fuzz-ckpt:
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(CKPT_FUZZTIME) ./internal/ckpt
+# fuzz-journal is the short ci-gate slice of the journal fuzzer (the one
+# decoder a resume reads from disk): a few seconds is enough to replay
+# the seed corpus plus a burst of mutations on every ci run.
+fuzz-journal:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime $(JOURNAL_FUZZTIME) ./internal/runner
 
 # calibrate regenerates the committed twin calibration artifact from
 # pinned seeds: cycle-engine anchor runs over every Table 2 kernel,

@@ -27,7 +27,7 @@ type ChaosSpec = chaos.Spec
 type ChaosPlan = chaos.Plan
 
 // ChaosFS is the injectable filesystem seam the durability layers
-// (checkpoints, journals, result-cache blobs) write through. The real
+// (progress journals, result-cache blobs) write through. The real
 // filesystem is the nil/default; NewChaosFS wraps one with seeded
 // fault injection.
 type ChaosFS = chaos.FS
@@ -59,8 +59,8 @@ func ChaosTransport(p *ChaosPlan, base http.RoundTripper) http.RoundTripper {
 // injected on the write path and discovered at read-back.
 func NewChaosFS(p *ChaosPlan, base ChaosFS) ChaosFS { return chaos.NewFS(p, base) }
 
-// WithChaosFS routes the run's durability writes (checkpoints,
-// journals, result-cache blobs) through fs — typically a NewChaosFS
+// WithChaosFS routes the run's durability writes (the progress
+// journal, result-cache blobs) through fs — typically a NewChaosFS
 // sick disk. In-process runs only; it never crosses the wire to a
 // daemon, whose disks are its own.
 func WithChaosFS(fs ChaosFS) Option {

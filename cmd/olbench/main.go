@@ -16,8 +16,8 @@
 //	olbench -exp fig12 -size 262144    # bigger per-channel footprint
 //	olbench -exp all -manifest         # attach provenance manifests
 //	olbench -exp all -debug-addr :6060 # pprof + expvar while it runs
-//	olbench -exp all -checkpoint-dir ck          # journal progress per cell
-//	olbench -exp all -checkpoint-dir ck -resume  # skip journal-completed cells
+//	olbench -exp all -checkpoint-dir ck          # journal each finished cell
+//	olbench -exp all -checkpoint-dir ck -resume  # replay journaled cells, simulate the rest
 //	olbench -exp all -retries 2 -cell-timeout 5m # retry/watchdog flaky cells
 //	olbench -exp fig5 -server http://localhost:8080  # run on an olserve daemon
 //	olbench -exp all -cache-dir rc     # memoize cells; an identical rerun simulates nothing
@@ -37,6 +37,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -139,6 +140,9 @@ func main() {
 		opts = append(opts, orderlight.WithManifest())
 	}
 	opts = append(opts, ckpt.Options()...)
+	if n := leftoverCheckpoints(ckpt.Dir); n > 0 {
+		fmt.Fprintf(os.Stderr, "olbench: ignoring %d mid-cell checkpoint file(s) (*.ckpt, *.tmp) in %s; only journal.jsonl is resumed\n", n, ckpt.Dir)
+	}
 	opts = append(opts, rcache.Options()...)
 	if *retries > 0 {
 		opts = append(opts, orderlight.WithCellRetries(*retries))
@@ -173,7 +177,7 @@ func main() {
 	switch {
 	case *server != "":
 		if ckpt.Active() {
-			fatal(fmt.Errorf("-checkpoint-dir/-checkpoint-every/-resume are local paths; the daemon manages its own checkpoints (-checkpoint-root)"))
+			fatal(fmt.Errorf("-checkpoint-dir/-resume are local paths; the daemon manages its own checkpoints (-checkpoint-root)"))
 		}
 		if rcache.Active() {
 			fatal(fmt.Errorf("-cache-dir is a local path; the daemon manages its own cache (olserve -cache-dir)"))
@@ -231,6 +235,18 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "olbench: %d experiment(s), %d cells in %.1fs (parallelism %s)\n",
 		len(tables), cells, time.Since(start).Seconds(), parallelismLabel(*parallel))
+}
+
+// leftoverCheckpoints counts the *.ckpt and *.tmp files an older build
+// left in a checkpoint directory. Resume reads only the cell journal, so
+// these are neither read nor deleted.
+func leftoverCheckpoints(dir string) int {
+	if dir == "" {
+		return 0
+	}
+	ck, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	return len(ck) + len(tmp)
 }
 
 // remote submits the experiment (or full sweep) to an olserve daemon

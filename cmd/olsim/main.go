@@ -15,15 +15,12 @@
 //	olsim -kernel add -engine dense                  # dense parity-reference engine, identical output
 //	olsim -kernel add -trace-out run.json            # Perfetto trace
 //	olsim -kernel add -sample-every 1000 -sample-out run.csv
-//	olsim -kernel add -checkpoint-dir ck -stop-after 50000  # halt with a checkpoint (exit 3)
-//	olsim -kernel add -checkpoint-dir ck -resume            # continue, byte-identical
 //	olsim -kernel add -cache-dir rc                  # memoize; identical reruns skip simulation
 //	olsim -list                                      # list kernels
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,10 +53,7 @@ func main() {
 		sampleEvery = flag.Int64("sample-every", 0, "sample counters every N core cycles (0 disables)")
 		sampleOut   = flag.String("sample-out", "", "write the sampled time-series here (.json for JSON, else CSV; default stdout)")
 		manifest    = flag.Bool("manifest", false, "print the run's provenance manifest as JSON")
-
-		stopAfter = flag.Int64("stop-after", 0, "halt deterministically at this core cycle after writing a checkpoint, exit 3 (crash-resume testing)")
 	)
-	ckpt := cliflags.RegisterCheckpoint(flag.CommandLine)
 	eng := cliflags.RegisterEngine(flag.CommandLine)
 	rcache := cliflags.RegisterCache(flag.CommandLine)
 	flag.Parse()
@@ -126,20 +120,11 @@ func main() {
 		sampler = orderlight.NewSampler(*sampleEvery)
 		opts = append(opts, orderlight.WithSampler(sampler))
 	}
-	opts = append(opts, ckpt.Options()...)
 	opts = append(opts, rcache.Options()...)
-	if *stopAfter > 0 {
-		opts = append(opts, orderlight.WithHaltAfter(*stopAfter))
-	}
 	start := time.Now()
 	res, k, err := orderlight.RunSpecContext(ctx, cfg, spec, *bytes, opts...)
 	wall := time.Since(start)
 	if err != nil {
-		if errors.Is(err, orderlight.ErrHalted) {
-			fmt.Fprintf(os.Stderr, "olsim: halted at checkpoint after core cycle %d; resume with -resume -checkpoint-dir %s\n",
-				*stopAfter, ckpt.Dir)
-			os.Exit(3)
-		}
 		fatal(err)
 	}
 	if sink != nil {

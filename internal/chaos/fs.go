@@ -9,7 +9,7 @@ import (
 )
 
 // File is the writable-file surface the durability layers (rcache
-// blobs, checkpoints, journals) actually use; *os.File satisfies it.
+// blobs, journals) actually use; *os.File satisfies it.
 type File interface {
 	io.Writer
 	io.Closer

@@ -10,28 +10,24 @@ import (
 )
 
 // Checkpoint receives the shared crash-safety flags. Validation is not
-// done here: the option invariants (resume needs a directory, negative
-// cadence, ...) live in the library's single buildOpts gate, so every
-// command reports them identically.
+// done here: the option invariants (resume needs a directory, ...) live
+// in the library's single buildOpts gate, so every command reports them
+// identically.
 type Checkpoint struct {
 	// Dir is -checkpoint-dir.
 	Dir string
-	// Every is -checkpoint-every, in core cycles.
-	Every int64
 	// Resume is -resume.
 	Resume bool
 }
 
-// RegisterCheckpoint installs -checkpoint-dir, -checkpoint-every and
-// -resume on fs (use flag.CommandLine in main).
+// RegisterCheckpoint installs -checkpoint-dir and -resume on fs (use
+// flag.CommandLine in main).
 func RegisterCheckpoint(fs *flag.FlagSet) *Checkpoint {
 	c := &Checkpoint{}
 	fs.StringVar(&c.Dir, "checkpoint-dir", "",
-		"keep crash-safe checkpoints and a per-cell progress journal in this directory")
-	fs.Int64Var(&c.Every, "checkpoint-every", 0,
-		"checkpoint cadence in core cycles (0 = default 262144; needs -checkpoint-dir)")
+		"journal every finished cell in this directory (journal.jsonl)")
 	fs.BoolVar(&c.Resume, "resume", false,
-		"resume from -checkpoint-dir; the continued run is byte-identical to an uninterrupted one")
+		"replay the cells journaled in -checkpoint-dir and simulate only the rest; the output is byte-identical to an uninterrupted run")
 	return c
 }
 
@@ -40,9 +36,6 @@ func (c *Checkpoint) Options() []orderlight.Option {
 	var opts []orderlight.Option
 	if c.Dir != "" {
 		opts = append(opts, orderlight.WithCheckpointDir(c.Dir))
-	}
-	if c.Every > 0 {
-		opts = append(opts, orderlight.WithCheckpointEvery(c.Every))
 	}
 	if c.Resume {
 		opts = append(opts, orderlight.WithResume())
@@ -54,7 +47,7 @@ func (c *Checkpoint) Options() []orderlight.Option {
 // remote modes cannot honor local checkpoint directories use it to
 // reject the combination up front.
 func (c *Checkpoint) Active() bool {
-	return c.Dir != "" || c.Every != 0 || c.Resume
+	return c.Dir != "" || c.Resume
 }
 
 // Cache receives the shared result-cache flag.

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"testing"
 )
 
@@ -33,24 +34,32 @@ func TestZeroValueGroups(t *testing.T) {
 }
 
 func TestCheckpointGroup(t *testing.T) {
-	ck, _, _ := parse(t, "-checkpoint-dir", "ck", "-checkpoint-every", "1024", "-resume")
-	if ck.Dir != "ck" || ck.Every != 1024 || !ck.Resume {
+	ck, _, _ := parse(t, "-checkpoint-dir", "ck", "-resume")
+	if ck.Dir != "ck" || !ck.Resume {
 		t.Errorf("parsed checkpoint group %+v", ck)
 	}
 	if !ck.Active() {
 		t.Error("set checkpoint group reports inactive")
 	}
-	if got := len(ck.Options()); got != 3 {
-		t.Errorf("checkpoint group produced %d options, want 3", got)
+	if got := len(ck.Options()); got != 2 {
+		t.Errorf("checkpoint group produced %d options, want 2", got)
 	}
 	// Each flag alone still counts as active.
 	for _, args := range [][]string{
-		{"-checkpoint-dir", "ck"}, {"-checkpoint-every", "1"}, {"-resume"},
+		{"-checkpoint-dir", "ck"}, {"-resume"},
 	} {
 		ck, _, _ := parse(t, args...)
 		if !ck.Active() {
 			t.Errorf("checkpoint group %v reports inactive", args)
 		}
+	}
+	// Resume is per cell, so there is no checkpoint cadence to set:
+	// -checkpoint-every is refused, not silently ignored.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterCheckpoint(fs)
+	if err := fs.Parse([]string{"-checkpoint-every", "1024"}); err == nil {
+		t.Error("-checkpoint-every still parses")
 	}
 }
 

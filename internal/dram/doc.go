@@ -42,6 +42,6 @@
 // by page, one allocation each. Equal compares pages, with a missing
 // page counting as zero. Touched is a running count of bitmap bits, so
 // the written-slot count stays exact even for explicit zero writes.
-// State and Restore speak the per-slot StoreState of written slots,
-// independent of the page layout.
+// Each visits the written slots; the page layout never leaves the
+// package.
 package dram

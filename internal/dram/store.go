@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 
 	"orderlight/internal/isa"
@@ -106,6 +107,18 @@ func (s *Store) slot(a isa.Addr) []int32 {
 
 // Touched returns the number of slots ever written.
 func (s *Store) Touched() int { return s.touched }
+
+// Each calls fn on every written slot, page by page in first-touch
+// order. v aliases the store and is valid only during the call.
+func (s *Store) Each(fn func(a isa.Addr, v []int32)) {
+	for i := range s.pages {
+		p := &s.pages[i]
+		for w := p.written; w != 0; w &= w - 1 {
+			off := bits.TrailingZeros64(w)
+			fn(p.key<<pageShift|isa.Addr(off), s.lanesOf(p, off))
+		}
+	}
+}
 
 // Clone deep-copies the store (used to snapshot initial state for the
 // reference executor). It only reads s, so concurrent clones of one

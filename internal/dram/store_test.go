@@ -92,9 +92,10 @@ func checkModel(t *testing.T, step int, s *Store, r *refStore, probes []isa.Addr
 			t.Fatalf("step %d: Read(%d) = %v, model %v", step, a, got, want)
 		}
 	}
-	st := s.State()
-	if st.Lanes != r.lanes || !maps.EqualFunc(st.Data, r.data, slices.Equal[[]int32]) {
-		t.Fatalf("step %d: State does not match the model's written slots", step)
+	written := map[isa.Addr][]int32{}
+	s.Each(func(a isa.Addr, v []int32) { written[a] = slices.Clone(v) })
+	if s.Lanes() != r.lanes || !maps.EqualFunc(written, r.data, slices.Equal[[]int32]) {
+		t.Fatalf("step %d: Each does not visit the model's written slots", step)
 	}
 }
 
@@ -141,17 +142,9 @@ func TestStoreMatchesMapModel(t *testing.T) {
 						}
 					}
 				default:
-					// State→Restore round trip into a store that
-					// already holds other data.
-					fresh := NewStore(lanes)
-					fresh.Write(modelAddr(rng), modelValue(rng, lanes))
-					if err := fresh.Restore(s.State()); err != nil {
-						t.Fatal(err)
-					}
-					if !fresh.Equal(s) || fresh.Touched() != s.Touched() {
-						t.Fatalf("step %d: Restore(State()) differs from the original", step)
-					}
-					s = fresh
+					// Carry on with a clone in place of the original:
+					// later steps write to the copy only.
+					s = s.Clone()
 				}
 				checkModel(t, step, s, r, probes)
 			}
@@ -183,16 +176,6 @@ func TestStoreLaneWidthsNeverEqual(t *testing.T) {
 	b.Write(3, make([]int32, 8))
 	if got := a.Diff(b, 10); len(got) == 0 || got[0] != 0 {
 		t.Fatalf("Diff across lane widths = %v, want every slot of both pages from 0 up", got)
-	}
-	if err := a.Restore(b.State()); err == nil {
-		t.Fatal("Restore accepted a snapshot of another lane width")
-	}
-	bad := StoreState{Lanes: 4, Data: map[isa.Addr][]int32{1: {1, 2, 3, 4}, 2: {1}}}
-	if err := a.Restore(bad); err == nil {
-		t.Fatal("Restore accepted a short slot")
-	}
-	if a.Touched() != 1 || !slices.Equal(a.Read(64), make([]int32, 4)) {
-		t.Fatal("a rejected Restore modified the store")
 	}
 }
 

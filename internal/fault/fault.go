@@ -196,7 +196,7 @@ type Plan struct {
 	spec      Spec
 	threshold uint64
 	delay     int64
-	counts    PointCounts
+	counts    [pointCount]int64
 }
 
 // NewPlan materializes a spec into a live plan.
@@ -296,26 +296,6 @@ func (p *Plan) Injections() int64 {
 	return n
 }
 
-// PointCounts is the per-point injection counter vector, indexed by
-// Point. It is the plan's only mutable state, exposed for checkpointing.
-type PointCounts [pointCount]int64
-
-// Counts returns the plan's injection counters.
-func (p *Plan) Counts() PointCounts {
-	if p == nil {
-		return PointCounts{}
-	}
-	return p.counts
-}
-
-// SetCounts replaces the plan's injection counters (checkpoint resume).
-func (p *Plan) SetCounts(c PointCounts) {
-	if p == nil {
-		return
-	}
-	p.counts = c
-}
-
 // Report snapshots the plan's injection accounting.
 func (p *Plan) Report() Report {
 	r := Report{Class: ClassNone}
@@ -324,7 +304,7 @@ func (p *Plan) Report() Report {
 	}
 	r.Class = p.spec.Class
 	r.Seed = p.spec.Seed
-	r.Points = [pointCount]int64(p.Counts())
+	r.Points = p.counts
 	for _, c := range r.Points {
 		r.Injections += c
 	}

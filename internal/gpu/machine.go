@@ -47,12 +47,7 @@ type Machine struct {
 	sampler *stats.Sampler // optional; see SetSampler
 	fplan   *fault.Plan    // optional; see SetFaultPlan
 
-	ckptEvery int64        // checkpoint cadence in core cycles; see SetCheckpoint
-	ckptFn    func() error // checkpoint writer, runs between engine steps
-	abort     func() bool  // cooperative abort poll; see SetAbort
-	haltAfter int64        // deterministic halt boundary; see SetHaltAfter
-	lastCk    sim.Time     // engine time of the last checkpoint written
-	resumed   bool         // state restored from a checkpoint; Run continues
+	abort func() bool // cooperative abort poll; see SetAbort
 
 	host        HostTraffic
 	hostRng     *sim.Rand
@@ -640,15 +635,6 @@ func (m *Machine) done() bool {
 	return m.acks.Len() == 0
 }
 
-// SetCheckpoint arms periodic checkpointing: every `every` core cycles
-// (at the first clock boundary at or past each multiple), fn is invoked
-// between engine steps — the epoch-safe point where CaptureState is
-// legal. A checkpoint-write error aborts the run. Must be called before
-// Run; every <= 0 or a nil fn disables the cadence.
-func (m *Machine) SetCheckpoint(every int64, fn func() error) {
-	m.ckptEvery, m.ckptFn = every, fn
-}
-
 // SetAbort arms a cooperative abort poll: fn is consulted between
 // engine steps, at least every abortPollCycles core cycles of simulated
 // time; when it reports true, Run returns wrapping olerrors.ErrAborted.
@@ -656,52 +642,26 @@ func (m *Machine) SetCheckpoint(every int64, fn func() error) {
 // byte-identical with or without it. Must be called before Run.
 func (m *Machine) SetAbort(fn func() bool) { m.abort = fn }
 
-// SetHaltAfter arms a deterministic halt: the run stops at the first
-// engine step past the given core cycle, writes a final checkpoint if
-// one is armed, and returns wrapping olerrors.ErrHalted. It is the
-// reproducible "kill" used by crash-resume tests and olsim -stop-after.
-// Must be called before Run; n <= 0 disables.
-func (m *Machine) SetHaltAfter(n int64) { m.haltAfter = n }
-
 // abortPollCycles bounds how much simulated time may pass between abort
 // polls (in core cycles). Small enough that a wedged cell is caught
 // promptly, large enough that window bookkeeping stays off the profile.
 const abortPollCycles = 8192
 
-// runWindowed drives the engine in bounded windows so checkpoint, halt
-// and abort hooks can run between steps. RunUntil never warps the clock
-// to a window edge, so the event sequence — and therefore stats, traces
-// and the final memory image — is byte-identical to an uninterrupted
-// m.eng.Run on either engine.
+// runWindowed drives the engine in bounded windows so the abort poll
+// can run between steps. RunUntil never warps the clock to a window
+// edge, so the event sequence — and therefore stats, traces and the
+// final memory image — is byte-identical to an uninterrupted m.eng.Run
+// on either engine.
 func (m *Machine) runWindowed(deadline sim.Time) error {
-	m.lastCk = -1
-	nextCk := int64(0)
-	if m.ckptEvery > 0 && m.ckptFn != nil {
-		nextCk = (m.eng.Now().CoreCycles()/m.ckptEvery + 1) * m.ckptEvery
-	}
 	pollAt := m.eng.Now()
 	for {
-		limit := sim.TimeInf
-		if nextCk > 0 {
-			limit = sim.Time(nextCk) * sim.CoreTicks
+		// Advance the poll horizon from wherever the engine got to, so
+		// an idle span still makes progress window over window.
+		if now := m.eng.Now(); now > pollAt {
+			pollAt = now
 		}
-		if m.haltAfter > 0 {
-			if t := sim.Time(m.haltAfter) * sim.CoreTicks; t < limit {
-				limit = t
-			}
-		}
-		if m.abort != nil {
-			// Advance the poll horizon from wherever the engine got to,
-			// so an idle span still makes progress window over window.
-			if now := m.eng.Now(); now > pollAt {
-				pollAt = now
-			}
-			pollAt += abortPollCycles * sim.CoreTicks
-			if pollAt < limit {
-				limit = pollAt
-			}
-		}
-		capped := false
+		pollAt += abortPollCycles * sim.CoreTicks
+		limit, capped := pollAt, false
 		if limit >= deadline {
 			limit, capped = deadline, true
 		}
@@ -714,37 +674,10 @@ func (m *Machine) runWindowed(deadline sim.Time) error {
 		case capped:
 			return m.eng.DeadlineError()
 		}
-		if m.abort != nil && m.abort() {
+		if m.abort() {
 			return fmt.Errorf("gpu: %w (t=%v)", olerrors.ErrAborted, m.eng.Now())
 		}
-		if m.haltAfter > 0 && sim.Time(m.haltAfter)*sim.CoreTicks <= limit {
-			if err := m.writeCheckpoint(); err != nil {
-				return err
-			}
-			return fmt.Errorf("gpu: %w after core cycle %d", olerrors.ErrHalted, m.haltAfter)
-		}
-		if nextCk > 0 && sim.Time(nextCk)*sim.CoreTicks <= limit {
-			if err := m.writeCheckpoint(); err != nil {
-				return err
-			}
-			for sim.Time(nextCk)*sim.CoreTicks <= limit {
-				nextCk += m.ckptEvery
-			}
-		}
 	}
-}
-
-// writeCheckpoint invokes the armed checkpoint writer at most once per
-// engine instant (the halt path and the cadence path can coincide).
-func (m *Machine) writeCheckpoint() error {
-	if m.ckptFn == nil || m.eng.Now() == m.lastCk {
-		return nil
-	}
-	if err := m.ckptFn(); err != nil {
-		return err
-	}
-	m.lastCk = m.eng.Now()
-	return nil
 }
 
 // Run simulates until completion (or the configured deadline) and
@@ -753,17 +686,13 @@ func (m *Machine) writeCheckpoint() error {
 // result; a mismatch is recorded in the stats, not an error — it is the
 // expected outcome of running without an ordering primitive.
 //
-// When checkpoint, halt or abort hooks are armed the run is driven in
-// windows (see runWindowed); otherwise it takes the plain engine path.
-// After RestoreState, Run continues the checkpointed run: the stats
-// start time is preserved rather than restamped.
+// When an abort poll is armed the run is driven in windows (see
+// runWindowed); otherwise it takes the plain engine path.
 func (m *Machine) Run() (*stats.Run, error) {
 	deadline := sim.Time(m.cfg.Run.DeadlineMS / 1e3 * sim.BaseTickHz)
-	if !m.resumed {
-		m.st.Start = m.eng.Now()
-	}
+	m.st.Start = m.eng.Now()
 	var err error
-	if m.ckptFn != nil || m.haltAfter > 0 || m.abort != nil {
+	if m.abort != nil {
 		err = m.runWindowed(deadline)
 	} else {
 		err = m.eng.Run(m.done, deadline)

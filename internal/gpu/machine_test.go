@@ -8,6 +8,7 @@ import (
 	"orderlight/internal/config"
 	"orderlight/internal/dram"
 	"orderlight/internal/isa"
+	"orderlight/internal/olerrors"
 	"orderlight/internal/sim"
 	"orderlight/internal/trace"
 )
@@ -453,5 +454,57 @@ func TestHostTimeRoofline(t *testing.T) {
 	got = HostTime(cfg, 1, ops)
 	if s := got.Seconds(); s < 1.99 || s > 2.01 {
 		t.Fatalf("compute-bound HostTime = %v s, want ~2", s)
+	}
+}
+
+// TestAbortStopsRun: the cooperative abort flag converts a running
+// machine into a typed ErrAborted failure at the next poll window, and
+// a windowed run whose poll never fires matches the plain path exactly:
+// same statistics and the same final memory image. The fence run is
+// long enough (>> abortPollCycles) that several polls happen before
+// completion.
+func TestAbortStopsRun(t *testing.T) {
+	const tiles = 48
+	cfg := smallConfig(config.PrimitiveFence)
+	store, programs := vectorAddSetup(cfg, tiles)
+	ref, err := NewMachine(cfg, store, programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if total := int64(ref.Stats().ExecTime() / sim.CoreTicks); total <= abortPollCycles {
+		t.Fatalf("run too short to poll: %d cycles, poll window %d", total, abortPollCycles)
+	}
+
+	store2, programs2 := vectorAddSetup(cfg, tiles)
+	m, err := NewMachine(cfg, store2, programs2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetAbort(func() bool { return true })
+	if _, err := m.Run(); !errors.Is(err, olerrors.ErrAborted) {
+		t.Fatalf("Run = %v, want ErrAborted", err)
+	}
+
+	store3, programs3 := vectorAddSetup(cfg, tiles)
+	m3, err := NewMachine(cfg, store3, programs3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	m3.SetAbort(func() bool { polls++; return false })
+	if _, err := m3.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if polls < 2 {
+		t.Fatalf("abort poll ran %d times, want several windows", polls)
+	}
+	if got, want := snap(m3.Stats()), snap(ref.Stats()); got != want {
+		t.Fatalf("abort-polled run diverged from plain run:\n%+v\nwant\n%+v", got, want)
+	}
+	if !m3.store.Equal(ref.store) {
+		t.Fatal("abort-polled run left a different memory image than the plain run")
 	}
 }

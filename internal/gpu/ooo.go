@@ -42,10 +42,11 @@ type host interface {
 // window is empty AND every issued request has been acknowledged from
 // the memory side.
 type OoOCore struct {
-	id   int
-	cfg  config.Config
-	geom dram.Geometry
-	st   *stats.Run
+	id       int
+	cfg      config.Config
+	geom     dram.Geometry
+	tileCmds int // commands per tile, cfg.CommandsPerTile()
+	st       *stats.Run
 
 	w      warp // reuses the warp program-cursor state (one thread per core)
 	window []isa.Request
@@ -66,16 +67,17 @@ type OoOCore struct {
 func newOoOCore(id int, cfg config.Config, geom dram.Geometry, st *stats.Run,
 	prog Program, ft *core.FenceTracker, nextID *uint64, send func(isa.Request) bool) *OoOCore {
 	return &OoOCore{
-		id:     id,
-		cfg:    cfg,
-		geom:   geom,
-		st:     st,
-		w:      warp{id: id, channel: prog.Channel, prog: prog.Instrs},
-		rs:     core.NewCollectorCounterBudget(geom.Channels, geom.Groups, cfg.GPU.CollectorTags),
-		ft:     ft,
-		rng:    sim.NewRand(cfg.Run.Seed ^ 0x0002_a0c0 ^ uint64(id)<<40),
-		send:   send,
-		nextID: nextID,
+		id:       id,
+		cfg:      cfg,
+		geom:     geom,
+		tileCmds: cfg.CommandsPerTile(),
+		st:       st,
+		w:        warp{id: id, channel: prog.Channel, prog: prog.Instrs},
+		rs:       core.NewCollectorCounterBudget(geom.Channels, geom.Groups, cfg.GPU.CollectorTags),
+		ft:       ft,
+		rng:      sim.NewRand(cfg.Run.Seed ^ 0x0002_a0c0 ^ uint64(id)<<40),
+		send:     send,
+		nextID:   nextID,
 	}
 }
 
@@ -108,7 +110,7 @@ func (c *OoOCore) NextWork(now sim.Time) sim.Time {
 	if c.w.pc >= len(c.w.prog) {
 		return now // one tick marks the core done
 	}
-	in := c.w.prog[c.w.pc]
+	in := &c.w.prog[c.w.pc]
 	switch in.Kind {
 	case isa.KindFence:
 		if !c.ft.Drained(c.w.id) && !c.fault.ShouldDropOrdering(c.w.id, c.w.pc) {
@@ -134,7 +136,7 @@ func (c *OoOCore) Skip(k int64) {
 	if c.w.state == warpDone || k <= 0 {
 		return
 	}
-	in := c.w.prog[c.w.pc]
+	in := &c.w.prog[c.w.pc]
 	switch {
 	case in.Kind == isa.KindFence:
 		c.w.state = warpFence
@@ -173,7 +175,7 @@ func (c *OoOCore) dispatch() {
 			c.w.state = warpDone
 			return
 		}
-		in := c.w.prog[c.w.pc]
+		in := &c.w.prog[c.w.pc]
 		switch in.Kind {
 		case isa.KindFence:
 			if c.fault.ShouldDropOrdering(c.w.id, c.w.pc) {
@@ -236,7 +238,7 @@ func (c *OoOCore) dispatch() {
 				c.st.IssueStallCycles++
 				return
 			}
-			r := laneRequest(c.cfg, c.geom, &c.w, in, c.id, c.nextID)
+			r := laneRequest(c.tileCmds, &c.geom, &c.w, in, c.id, c.nextID)
 			c.window = append(c.window, r)
 			c.rs.Alloc(int(r.Channel), int(r.Group))
 			c.w.lane++

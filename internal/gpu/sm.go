@@ -57,10 +57,11 @@ type collectorEntry struct {
 
 // SM models one streaming multiprocessor running PIM warps.
 type SM struct {
-	id   int
-	cfg  config.Config
-	geom dram.Geometry
-	st   *stats.Run
+	id       int
+	cfg      config.Config
+	geom     dram.Geometry
+	tileCmds int // commands per tile, cfg.CommandsPerTile()
+	st       *stats.Run
 
 	warps     []*warp
 	rr        int // round-robin warp pointer
@@ -94,11 +95,12 @@ type SM struct {
 func newSM(id int, cfg config.Config, geom dram.Geometry, st *stats.Run,
 	warps []*warp, ft *core.FenceTracker, nextID *uint64, send func(isa.Request) bool) *SM {
 	return &SM{
-		id:    id,
-		cfg:   cfg,
-		geom:  geom,
-		st:    st,
-		warps: warps,
+		id:       id,
+		cfg:      cfg,
+		geom:     geom,
+		tileCmds: cfg.CommandsPerTile(),
+		st:       st,
+		warps:    warps,
 		// Preallocated to its bound so the append/shift cycle of the
 		// collector never reallocates.
 		collector: make([]collectorEntry, 0, cfg.GPU.CollectorUnits),
@@ -148,7 +150,7 @@ func (s *SM) stall(w *warp) warpStall {
 	if w.pc >= len(w.prog) {
 		return stallNone // one tick retires the warp
 	}
-	in := w.prog[w.pc]
+	in := &w.prog[w.pc]
 	switch in.Kind {
 	case isa.KindFence:
 		if s.fault.ShouldDropOrdering(w.id, w.pc) {
@@ -356,7 +358,7 @@ func (s *SM) step(w *warp, now sim.Time) bool {
 		w.state = warpDone
 		return false
 	}
-	in := w.prog[w.pc]
+	in := &w.prog[w.pc]
 	switch s.stall(w) {
 	case stallFence:
 		w.state = warpFence
@@ -415,7 +417,7 @@ func (s *SM) step(w *warp, now sim.Time) bool {
 		w.pc++
 		return true
 	default:
-		r := laneRequest(s.cfg, s.geom, w, in, s.id, s.nextID)
+		r := laneRequest(s.tileCmds, &s.geom, w, in, s.id, s.nextID)
 		s.collector = append(s.collector, collectorEntry{
 			r:     r,
 			ready: now + sim.Time(s.cfg.GPU.CollectorLat)*sim.CoreTicks,
@@ -467,8 +469,8 @@ func (s *SM) emitOrdering(w *warp, name string, now sim.Time) {
 // the way the compiled PIM kernel would (§5.4). Each memory-group owns
 // its own temporary-storage partition (§4.1 allows multiple PIM units
 // per channel), so concurrent tiles in different groups never clobber
-// each other's slots.
-func laneRequest(cfg config.Config, geom dram.Geometry, w *warp, in isa.Instr, hostID int, nextID *uint64) isa.Request {
+// each other's slots. tileCmds is the config's commands per tile.
+func laneRequest(tileCmds int, geom *dram.Geometry, w *warp, in *isa.Instr, hostID int, nextID *uint64) isa.Request {
 	*nextID++
 	r := isa.Request{
 		ID:      *nextID,
@@ -491,8 +493,7 @@ func laneRequest(cfg config.Config, geom dram.Geometry, w *warp, in isa.Instr, h
 		r.Bank, r.Row = uint8(loc.Bank), int32(loc.Row)
 		r.Group = uint8(geom.GroupOf(loc.Bank))
 	}
-	n := cfg.CommandsPerTile()
-	r.TSlot = uint16(int(r.Group)*n + (in.TSlot+w.lane)%n)
+	r.TSlot = uint16(int(r.Group)*tileCmds + (in.TSlot+w.lane)%tileCmds)
 	return r
 }
 
@@ -500,7 +501,7 @@ func laneRequest(cfg config.Config, geom dram.Geometry, w *warp, in isa.Instr, h
 // injects, folding the instruction's extension groups into the packet's
 // group mask. The caller advances the warp's sequence and packet
 // numbers. config.Validate and NewMachine bound every narrowed field.
-func olRequest(id uint64, hostID int, w *warp, in isa.Instr) isa.Request {
+func olRequest(id uint64, hostID int, w *warp, in *isa.Instr) isa.Request {
 	return isa.Request{
 		ID: id, Kind: isa.KindOrderLight,
 		Channel: uint8(w.channel), Group: uint8(in.Group),

@@ -15,9 +15,10 @@ import (
 // imageHash digests every written slot of a store in address order:
 // each address, then its lanes, little-endian.
 func imageHash(st *dram.Store) string {
-	s := st.State()
-	addrs := make([]isa.Addr, 0, len(s.Data))
-	for a := range s.Data {
+	data := map[isa.Addr][]int32{}
+	st.Each(func(a isa.Addr, v []int32) { data[a] = slices.Clone(v) })
+	addrs := make([]isa.Addr, 0, len(data))
+	for a := range data {
 		addrs = append(addrs, a)
 	}
 	slices.Sort(addrs)
@@ -25,7 +26,7 @@ func imageHash(st *dram.Store) string {
 	var buf []byte
 	for _, a := range addrs {
 		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(a))
-		for _, v := range s.Data[a] {
+		for _, v := range data[a] {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 		}
 		h.Write(buf)

@@ -56,9 +56,8 @@ func ConfigHash(cfg config.Config) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// EngineName names the cycle engine for manifests, checkpoint metadata
-// and result-cache keys — a checkpoint resumes on the engine that
-// wrote it.
+// EngineName names the cycle engine for manifests and result-cache
+// keys.
 func EngineName(dense bool) string {
 	if dense {
 		return "dense"

@@ -38,31 +38,4 @@ var (
 	// an external abort request (watchdog or cancellation), before the
 	// simulation drained.
 	ErrAborted = errors.New("run aborted")
-
-	// ErrHalted reports a machine run deliberately halted at a requested
-	// cycle boundary after writing a checkpoint — the controlled "crash"
-	// used to exercise resume paths.
-	ErrHalted = errors.New("run halted at checkpoint")
-
-	// ErrCheckpointFormat reports a checkpoint file whose structure is
-	// not a checkpoint at all: bad magic, trailing garbage, or an
-	// undecodable payload.
-	ErrCheckpointFormat = errors.New("malformed checkpoint file")
-
-	// ErrCheckpointTruncated reports a checkpoint file shorter than its
-	// header or declared payload — a crash mid-copy or a torn download.
-	ErrCheckpointTruncated = errors.New("truncated checkpoint file")
-
-	// ErrCheckpointChecksum reports a checkpoint whose payload does not
-	// match its recorded SHA-256 — silent corruption (bit flips).
-	ErrCheckpointChecksum = errors.New("checkpoint checksum mismatch")
-
-	// ErrCheckpointVersion reports a structurally valid checkpoint
-	// written by an incompatible format version.
-	ErrCheckpointVersion = errors.New("unsupported checkpoint version")
-
-	// ErrCheckpointMismatch reports a valid checkpoint that belongs to a
-	// different run: another cell, config, engine, or machine shape.
-	// Resuming it would silently produce wrong results, so it is refused.
-	ErrCheckpointMismatch = errors.New("checkpoint does not match this run")
 )

@@ -1,8 +1,6 @@
 package pim
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 	"testing/quick"
 
@@ -228,39 +226,5 @@ func BenchmarkUnitExec(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestRestoreFromStateWithExecuted decodes a UnitState gob written while
-// the unit still kept a per-kind Executed counter map: gob skips the
-// field, so such a checkpoint restores unchanged.
-func TestRestoreFromStateWithExecuted(t *testing.T) {
-	type oldUnitState struct {
-		Slots    [][]int32
-		Deferred []DeferredState
-		Executed map[isa.Kind]int64
-	}
-	old := oldUnitState{
-		Slots:    [][]int32{{1, 2, 3, 4}, {5, 6, 7, 8}},
-		Deferred: []DeferredState{{R: isa.Request{Kind: isa.KindPIMStore, Addr: 2, TSlot: 1}, Due: 40}},
-		Executed: map[isa.Kind]int64{isa.KindPIMLoad: 2, isa.KindPIMStore: 1},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	var s UnitState
-	if err := gob.NewDecoder(&buf).Decode(&s); err != nil {
-		t.Fatal(err)
-	}
-	u, _ := newTestUnit(2)
-	if err := u.Restore(s); err != nil {
-		t.Fatal(err)
-	}
-	if got := u.Slot(1); got[3] != 8 {
-		t.Fatalf("slot 1 = %v, want [5 6 7 8]", got)
-	}
-	if due, ok := u.NextDue(); !ok || due != 40 || u.Deferred() != 1 {
-		t.Fatalf("deferred = %d (next due %d, %v), want one due at 40", u.Deferred(), due, ok)
 	}
 }

@@ -248,7 +248,7 @@ func (c *Cache) path(key string) string {
 }
 
 // Encode renders a key/payload pair into the versioned container
-// format shared with internal/ckpt:
+// format shared with internal/twin:
 //
 //	magic "OLRES1" | version uint16 | payload length uint64 | sha256 | gob envelope
 //

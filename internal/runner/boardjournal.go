@@ -21,8 +21,8 @@ import (
 // attaches to the replayed job (jobs are keyed by request content, see
 // JobKey) instead of starting the sweep over.
 //
-// The write discipline matches internal/ckpt's progress journal: one
-// marshaled line per record, a single Write then a Sync, so a crash
+// The write discipline matches the cell progress journal (journal.go):
+// one marshaled line per record, a single Write then a Sync, so a crash
 // leaves at most one torn trailing line — tolerated on replay. Damage
 // anywhere else is a loud error: records after it were acknowledged,
 // and silently dropping them would re-run (or worse, re-collect) work.

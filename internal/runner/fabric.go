@@ -23,7 +23,7 @@ import (
 // transport-agnostic.
 
 // CellOutcome is one cell's wire-serializable result: the same fields
-// the progress journal records (ckpt.JournalEntry), which are exactly
+// the progress journal records (journalEntry), which are exactly
 // what declaration-order reassembly needs. Kernels and manifests are
 // rebuilt coordinator-side.
 type CellOutcome struct {

@@ -62,11 +62,10 @@ func decodeCellResult(data []byte, cr *CellResult) error {
 }
 
 // cacheArmed reports whether this engine consults the result cache at
-// all. Engines armed with a trace sink, sampler, or deterministic halt
-// never do: a cache hit would skip the side effects those options
-// exist for.
+// all. Engines armed with a trace sink or sampler never do: a cache
+// hit would skip the side effects those options exist for.
 func (e *Engine) cacheArmed() bool {
-	return e.rcache != nil && e.sink == nil && e.sampler == nil && e.haltAfter <= 0
+	return e.rcache != nil && e.sink == nil && e.sampler == nil
 }
 
 // lookupCache serves a cell from the result cache. Like journal

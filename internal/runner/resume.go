@@ -6,77 +6,28 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
-	"orderlight/internal/ckpt"
 	"orderlight/internal/olerrors"
 	"orderlight/internal/sim"
 	"orderlight/internal/twin"
 )
 
-// journalName is the progress journal's file name inside CheckpointDir.
-const journalName = "journal.jsonl"
-
-// DefaultCheckpointEvery is the checkpoint cadence in core cycles when
-// a checkpoint directory is set without an explicit cadence.
-const DefaultCheckpointEvery = 1 << 18
-
 // cellHash renders a cell's full identity — everything that affects its
-// result — into a short stable key for journal entries and checkpoint
-// file names. %#v over value-typed structs is deterministic.
+// result — into a short stable key for journal entries. %#v over
+// value-typed structs is deterministic.
 func cellHash(c *Cell) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%#v|%#v|%d|%t|%#v|%#v",
 		c.Key, c.Cfg, c.Spec, c.Bytes, c.Host, c.Traffic, c.Fault)))
 	return hex.EncodeToString(sum[:8])
 }
 
-// ckptPath is the cell's checkpoint file inside the checkpoint dir.
-func (e *Engine) ckptPath(hash string) string {
-	return filepath.Join(e.ckptDir, hash+".ckpt")
-}
-
-// sweepTemps removes stray checkpoint temp files. An interrupted save
-// leaves a *.tmp next to the real file; the atomic rename protocol means
-// a temp file is never a valid checkpoint, so removal is always safe.
-func (e *Engine) sweepTemps() {
-	tmps, _ := filepath.Glob(filepath.Join(e.ckptDir, "*.tmp"))
-	for _, t := range tmps {
-		os.Remove(t)
-	}
-}
-
-// validateMeta refuses to restore a checkpoint into a run it does not
-// belong to. Identity is the cell hash (covering config, spec,
-// footprint, traffic and fault plan), the config hash as a second
-// opinion, and the engine flavor — a checkpoint resumes on the engine
-// that wrote it. A file from the removed parallel engine has no engine
-// left to resume on, so it is refused with that reason.
-func validateMeta(got, want ckpt.Meta) error {
-	switch {
-	case got.Engine == "parallel":
-		return fmt.Errorf("runner: %w: file was written by the parallel engine, which has been removed; delete the checkpoint and rerun the cell from the start",
-			olerrors.ErrCheckpointMismatch)
-	case got.CellHash != want.CellHash:
-		return fmt.Errorf("runner: %w: file belongs to cell %q (%s), this run is cell %q (%s)",
-			olerrors.ErrCheckpointMismatch, got.Cell, got.CellHash, want.Cell, want.CellHash)
-	case got.ConfigHash != want.ConfigHash:
-		return fmt.Errorf("runner: %w: file was written under config %s, this run uses %s",
-			olerrors.ErrCheckpointMismatch, got.ConfigHash, want.ConfigHash)
-	case got.Engine != want.Engine:
-		return fmt.Errorf("runner: %w: file was written by the %s engine, this run uses %s (rerun with the matching engine)",
-			olerrors.ErrCheckpointMismatch, got.Engine, want.Engine)
-	}
-	return nil
-}
-
 // replayJournal reconstructs a journal-completed cell's Result without
 // re-simulating. The kernel image is rebuilt (cached builds make this
 // cheap) because results carry generation metadata; the manifest, when
 // requested, is restamped with zero wall time — the cell did not run.
-func (e *Engine) replayJournal(c *Cell, ent ckpt.JournalEntry) (Result, error) {
+func (e *Engine) replayJournal(c *Cell, ent journalEntry) (Result, error) {
 	k, err := e.buildKernel(c)
 	if err != nil {
 		return Result{}, err
@@ -94,8 +45,8 @@ func (e *Engine) replayJournal(c *Cell, ent ckpt.JournalEntry) (Result, error) {
 
 // retryable reports whether a cell failure is worth retrying: recovered
 // panics, simulation deadline overruns and watchdog timeouts. Structural
-// failures (invalid specs, checkpoint damage, cancellation, deterministic
-// halts) are not — they would fail identically again.
+// failures (invalid specs, journal damage, cancellation) are not — they
+// would fail identically again.
 func retryable(err error) bool {
 	return errors.Is(err, olerrors.ErrCellPanic) ||
 		errors.Is(err, sim.ErrDeadline) ||
@@ -130,31 +81,23 @@ func (e *Engine) backoff(ctx context.Context, hash string, attempt int) error {
 
 // journalAppend records a completed cell, degrading on failure: the
 // first failed append disables journaling for the rest of the engine's
-// life and counts a durability error, but the cell's result stands.
+// life, but the cell's result stands.
 // Appending past a torn write would turn the journal's tolerable torn
 // tail into a loud corrupt middle on the next resume, so once one
 // append fails none may follow it.
-func (e *Engine) journalAppend(journal *ckpt.Journal, ent ckpt.JournalEntry) {
+func (e *Engine) journalAppend(journal *cellJournal, ent journalEntry) {
 	if e.journalDown.Load() {
 		return
 	}
 	if jerr := journal.Append(ent); jerr != nil {
 		e.journalDown.Store(true)
-		e.durabilityErrs.Add(1)
 	}
 }
 
-// DurabilityErrors reports how many checkpoint saves or journal appends
-// failed and were degraded (skipped) during this engine's runs. Zero
-// means full crash-resume coverage; non-zero means results are still
-// correct but a crash would resume from further back.
-func (e *Engine) DurabilityErrors() int64 { return e.durabilityErrs.Load() }
-
 // runCellRetry drives one cell through the watchdog and the retry loop,
 // and journals the completed result. Retries rerun the cell from
-// scratch (or from its last on-disk checkpoint when resume is on) after
-// an exponential backoff.
-func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journal) (Result, error) {
+// scratch after an exponential backoff.
+func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *cellJournal) (Result, error) {
 	if e.twinEng {
 		res, err := e.runTwinCell(c)
 		if err == nil {
@@ -178,7 +121,7 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journa
 				// Journal the served cell like any completed one, so a
 				// later resume of this sweep replays it even without the
 				// cache directory.
-				e.journalAppend(journal, ckpt.JournalEntry{
+				e.journalAppend(journal, journalEntry{
 					Key: c.Key, Hash: hash, Run: res.Run,
 					HostLatency: res.HostLatency, HostServed: res.HostServed,
 				})
@@ -187,7 +130,7 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journa
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		res, err := e.runCellGuarded(ctx, c, hash)
+		res, err := e.runCellGuarded(ctx, c)
 		if err == nil {
 			if cached {
 				e.storeCache(c, res)
@@ -196,13 +139,11 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journa
 				res.Manifest.CacheKey = e.cellCacheKey(c)
 			}
 			if journal != nil {
-				e.journalAppend(journal, ckpt.JournalEntry{
+				e.journalAppend(journal, journalEntry{
 					Key: c.Key, Hash: hash, Run: res.Run,
 					HostLatency: res.HostLatency, HostServed: res.HostServed,
 					Fault: res.Fault,
 				})
-				// The cell is journal-complete; its checkpoint is spent.
-				os.Remove(e.ckptPath(hash))
 			}
 			return res, nil
 		}
@@ -228,9 +169,9 @@ const abandonGrace = 10 * time.Second
 // typed error instead of hanging. Results are read only after the cell
 // goroutine signals completion, so an abandoned cell can never race the
 // sweep's result slots.
-func (e *Engine) runCellGuarded(ctx context.Context, c *Cell, hash string) (Result, error) {
+func (e *Engine) runCellGuarded(ctx context.Context, c *Cell) (Result, error) {
 	if e.cellTO <= 0 && ctx.Done() == nil {
-		return e.runCell(c, hash, nil)
+		return e.runCell(c, nil)
 	}
 	var stop atomic.Bool
 	type outcome struct {
@@ -239,7 +180,7 @@ func (e *Engine) runCellGuarded(ctx context.Context, c *Cell, hash string) (Resu
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := e.runCell(c, hash, &stop)
+		res, err := e.runCell(c, &stop)
 		done <- outcome{res, err}
 	}()
 

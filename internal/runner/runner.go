@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"orderlight/internal/chaos"
-	"orderlight/internal/ckpt"
 	"orderlight/internal/config"
 	"orderlight/internal/fault"
 	"orderlight/internal/gpu"
@@ -122,20 +120,14 @@ type Options struct {
 	// wall time, go version) to every Result.
 	Manifest bool
 
-	// CheckpointDir enables crash-safe progress: the directory holds a
-	// per-cell progress journal (journal.jsonl) and mid-cell machine
-	// checkpoints (<hash>.ckpt), written atomically. Empty disables.
+	// CheckpointDir enables crash-safe progress: every completed cell is
+	// appended to a progress journal (journal.jsonl) in the directory.
+	// Empty disables.
 	CheckpointDir string
-
-	// CheckpointEvery is the mid-cell checkpoint cadence in core cycles;
-	// <= 0 means DefaultCheckpointEvery. Only meaningful with a
-	// CheckpointDir.
-	CheckpointEvery int64
 
 	// Resume continues an interrupted sweep from CheckpointDir: cells
 	// recorded complete in the journal are reconstructed without
-	// re-simulating, and a cell with an on-disk checkpoint restarts from
-	// it — deterministically, as if never interrupted. Requires a
+	// re-simulating; every other cell runs from the start. Requires a
 	// CheckpointDir.
 	Resume bool
 
@@ -149,20 +141,13 @@ type Options struct {
 	// olerrors.ErrCellTimeout. 0 disables.
 	CellTimeout time.Duration
 
-	// HaltAfterCycles deterministically halts the cell at the first
-	// engine step past the given core cycle, writes a final checkpoint
-	// (when a CheckpointDir is set) and fails the run with
-	// olerrors.ErrHalted. It is the reproducible "kill" behind
-	// crash-resume testing. Single-cell only, like TraceSink.
-	HaltAfterCycles int64
-
 	// ResultCache, when set, memoizes completed cell results in a
 	// content-addressed store: each unfaulted cell is looked up before
 	// execution and inserted after its verification verdict is recorded.
 	// A warm rerun of an identical sweep simulates zero cells and
 	// produces byte-identical output. Ignored for cells/engines the
 	// cache cannot serve faithfully (fault injection, trace sinks,
-	// samplers, deterministic halts).
+	// samplers).
 	ResultCache *rcache.Cache
 
 	// TwinEngine answers every cell from the calibrated analytical twin
@@ -170,7 +155,7 @@ type Options struct {
 	// recorded error bound, never functionally verified. Requires Twin.
 	// Mutually exclusive with the cycle engines and with every option
 	// that observes or steers a real simulation (trace sinks, samplers,
-	// halts, checkpoints).
+	// the cell journal).
 	TwinEngine bool
 
 	// Twin is the calibration the twin engine answers from.
@@ -182,11 +167,10 @@ type Options struct {
 	// cycle-engine run. Only meaningful with TwinEngine.
 	TwinEscalate bool
 
-	// FS is the filesystem checkpoints and the progress journal write
-	// through; nil means the real one. The chaos harness injects its
-	// sick disk here. Durability failures under a sick disk degrade
-	// (see Engine.DurabilityErrors) instead of failing cells: a run on
-	// a dying disk loses crash-resume coverage, never results.
+	// FS is the filesystem the progress journal writes through; nil
+	// means the real one. The chaos harness injects its sick disk here.
+	// A failed append turns the journal off instead of failing cells: a
+	// run on a dying disk loses crash-resume coverage, never results.
 	FS chaos.FS
 }
 
@@ -203,11 +187,9 @@ type Engine struct {
 	manifest bool
 
 	ckptDir   string
-	ckptEvery int64
 	resume    bool
 	retries   int
 	cellTO    time.Duration
-	haltAfter int64
 	rcache    *rcache.Cache
 	twinEng   bool
 	twin      *twin.Predictor
@@ -218,13 +200,11 @@ type Engine struct {
 
 	simulated atomic.Int64 // cells actually executed (not replayed or cache-served)
 
-	// Durability degradation state: a failed journal append stops
-	// journaling for the rest of the engine's life (appending past a
-	// torn line would turn a tolerable torn tail into a loud corrupt
-	// middle on the next resume); failed checkpoint saves are counted
-	// and skipped. Both cost resume coverage, never correctness.
-	journalDown    atomic.Bool
-	durabilityErrs atomic.Int64
+	// A failed journal append stops journaling for the rest of the
+	// engine's life: appending past a torn line would turn a tolerable
+	// torn tail into a loud corrupt middle on the next resume. It costs
+	// resume coverage, never correctness.
+	journalDown atomic.Bool
 
 	mu   sync.Mutex // serializes progress callbacks
 	done int
@@ -233,23 +213,21 @@ type Engine struct {
 // New creates an engine.
 func New(opts Options) *Engine {
 	e := &Engine{
-		par:       opts.Parallelism,
-		progress:  opts.Progress,
-		dense:     opts.DenseEngine,
-		sink:      opts.TraceSink,
-		sampler:   opts.Sampler,
-		manifest:  opts.Manifest,
-		ckptDir:   opts.CheckpointDir,
-		ckptEvery: opts.CheckpointEvery,
-		resume:    opts.Resume,
-		retries:   opts.CellRetries,
-		cellTO:    opts.CellTimeout,
-		haltAfter: opts.HaltAfterCycles,
-		rcache:    opts.ResultCache,
-		twinEng:   opts.TwinEngine,
-		twin:      opts.Twin,
-		twinEsc:   opts.TwinEscalate,
-		fs:        opts.FS,
+		par:      opts.Parallelism,
+		progress: opts.Progress,
+		dense:    opts.DenseEngine,
+		sink:     opts.TraceSink,
+		sampler:  opts.Sampler,
+		manifest: opts.Manifest,
+		ckptDir:  opts.CheckpointDir,
+		resume:   opts.Resume,
+		retries:  opts.CellRetries,
+		cellTO:   opts.CellTimeout,
+		rcache:   opts.ResultCache,
+		twinEng:  opts.TwinEngine,
+		twin:     opts.Twin,
+		twinEsc:  opts.TwinEscalate,
+		fs:       opts.FS,
 	}
 	if e.fs == nil {
 		e.fs = chaos.OS
@@ -290,9 +268,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 		case e.sampler != nil:
 			return nil, fmt.Errorf("runner: %w: WithSampler needs a real simulation; the twin engine produces no time-series",
 				olerrors.ErrInvalidSpec)
-		case e.haltAfter > 0:
-			return nil, fmt.Errorf("runner: %w: WithHaltAfter halts a real simulation; the twin engine has none",
-				olerrors.ErrInvalidSpec)
 		case e.ckptDir != "":
 			return nil, fmt.Errorf("runner: %w: checkpoints journal cycle-engine progress; twin answers must not masquerade as simulated cells",
 				olerrors.ErrInvalidSpec)
@@ -312,17 +287,13 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 			return nil, fmt.Errorf("runner: %w: WithSampler attaches to exactly one cell, got %d",
 				olerrors.ErrInvalidSpec, len(cells))
 		}
-		if e.haltAfter > 0 {
-			return nil, fmt.Errorf("runner: %w: WithHaltAfter attaches to exactly one cell, got %d",
-				olerrors.ErrInvalidSpec, len(cells))
-		}
 	}
 	if e.resume && e.ckptDir == "" {
 		return nil, fmt.Errorf("runner: %w: Resume needs a CheckpointDir", olerrors.ErrInvalidSpec)
 	}
 	var (
-		journal   *ckpt.Journal
-		doneCells map[string]ckpt.JournalEntry
+		journal   *cellJournal
+		doneCells map[string]journalEntry
 	)
 	if e.ckptDir != "" {
 		if err := e.fs.MkdirAll(e.ckptDir, 0o755); err != nil {
@@ -330,22 +301,18 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 		}
 		jpath := filepath.Join(e.ckptDir, journalName)
 		if e.resume {
-			m, err := ckpt.LoadJournal(jpath)
+			m, err := loadJournal(jpath)
 			if err != nil {
 				return nil, err
 			}
 			doneCells = m
 		}
-		j, err := ckpt.OpenJournalFS(jpath, e.fs)
+		j, err := openJournal(jpath, e.fs)
 		if err != nil {
 			return nil, err
 		}
 		journal = j
 		defer journal.Close()
-		// A cancelled or crashed save can strand a temp file; the rename
-		// protocol makes temps always-garbage, so sweep them on the way
-		// out and leave the directory holding only real checkpoints.
-		defer e.sweepTemps()
 	}
 	total := len(cells)
 	results := make([]Result, total)
@@ -465,7 +432,7 @@ func (e *Engine) tick(total int) {
 // runCell executes one simulation with panic recovery. stop, when
 // non-nil, is the cooperative abort flag the watchdog and cancellation
 // paths set; the machine polls it between engine steps.
-func (e *Engine) runCell(c *Cell, hash string, stop *atomic.Bool) (res Result, err error) {
+func (e *Engine) runCell(c *Cell, stop *atomic.Bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v\n%s", olerrors.ErrCellPanic, r, debug.Stack())
@@ -512,56 +479,6 @@ func (e *Engine) runCell(c *Cell, hash string, stop *atomic.Bool) (res Result, e
 	}
 	if stop != nil {
 		m.SetAbort(stop.Load)
-	}
-	if e.haltAfter > 0 {
-		m.SetHaltAfter(e.haltAfter)
-	}
-	if e.ckptDir != "" {
-		// Checkpoint wiring comes after every other setter: RestoreState
-		// overwrites whatever state the setters initialized, and the
-		// capture closure must see the fully armed machine.
-		path := e.ckptPath(hash)
-		meta := ckpt.Meta{
-			CellHash: hash, Cell: c.Key, Kernel: c.Spec.Name,
-			ConfigHash: obs.ConfigHash(c.Cfg), Engine: obs.EngineName(e.dense),
-			Seed: c.Cfg.Run.Seed, Bytes: c.Bytes, Fault: c.Fault.String(),
-			Host: c.Host, Traffic: c.Traffic.PerChannel > 0,
-		}
-		every := e.ckptEvery
-		if every <= 0 {
-			every = DefaultCheckpointEvery
-		}
-		m.SetCheckpoint(every, func() error {
-			st := m.CaptureState()
-			mm := meta
-			mm.CoreCycle = st.Engine.Now.CoreCycles()
-			mm.SimTime = int64(st.Engine.Now)
-			if serr := ckpt.SaveFS(path, &ckpt.Checkpoint{Meta: mm, Machine: st}, e.fs); serr != nil {
-				// A failed save costs this cell its restart point, not
-				// the run: the atomic protocol left the previous
-				// checkpoint (or none) intact, so resume still works —
-				// from further back.
-				e.durabilityErrs.Add(1)
-			}
-			return nil
-		})
-		if e.resume {
-			switch ck, lerr := ckpt.Load(path); {
-			case lerr == nil:
-				if verr := validateMeta(ck.Meta, meta); verr != nil {
-					return Result{}, verr
-				}
-				if rerr := m.RestoreState(ck.Machine); rerr != nil {
-					return Result{}, fmt.Errorf("runner: %w: %v", olerrors.ErrCheckpointMismatch, rerr)
-				}
-			case errors.Is(lerr, fs.ErrNotExist):
-				// No mid-cell checkpoint: the cell starts from scratch.
-			default:
-				// A damaged checkpoint is a loud failure, never a silent
-				// from-scratch rerun that would mask the corruption.
-				return Result{}, fmt.Errorf("cell %q: %w", c.Key, lerr)
-			}
-		}
 	}
 	e.simulated.Add(1)
 	start := time.Now()

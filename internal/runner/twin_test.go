@@ -97,11 +97,6 @@ func TestTwinEngineGuards(t *testing.T) {
 			want: "no time-series",
 		},
 		{
-			name: "halt",
-			opts: Options{TwinEngine: true, Twin: pred, HaltAfterCycles: 100},
-			want: "WithHaltAfter",
-		},
-		{
 			name: "checkpoints",
 			opts: Options{TwinEngine: true, Twin: pred, CheckpointDir: t.TempDir()},
 			want: "checkpoints journal cycle-engine progress",

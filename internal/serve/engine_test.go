@@ -54,10 +54,10 @@ func TestValidateEngine(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsRemovedEngine pins the wire side of the parallel
-// engine's removal: naming the engine, or sending its old shard-count
-// field, is a 400 invalid-spec at POST /v1/jobs, never a run on some
-// other engine with the field ignored.
+// TestSubmitRejectsRemovedEngine pins the wire side of removed options:
+// naming the parallel engine, or sending its old shard-count field or
+// the mid-cell checkpoint fields (halt_after, checkpoint_every), is a
+// 400 invalid-spec at POST /v1/jobs, never a run with the field ignored.
 func TestSubmitRejectsRemovedEngine(t *testing.T) {
 	_, client := newFakeServer(t)
 	cases := []struct {
@@ -65,6 +65,8 @@ func TestSubmitRejectsRemovedEngine(t *testing.T) {
 	}{
 		{"engine", `{"kind":"kernel","kernel":"add","opts":{"engine":"parallel"}}`, "want skip|dense|twin"},
 		{"shards", `{"kind":"kernel","kernel":"add","opts":{"shards":4}}`, `unknown field "shards"`},
+		{"halt_after", `{"kind":"kernel","kernel":"add","opts":{"halt_after":400}}`, `unknown field "halt_after"`},
+		{"checkpoint_every", `{"kind":"experiment","experiment":"fig5","opts":{"checkpoint_dir":"ck","checkpoint_every":1024}}`, `unknown field "checkpoint_every"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -99,11 +99,9 @@ func Execute(ctx context.Context, req *JobRequest) (*JobResult, error) {
 		Sampler:            o.Sampler,
 		Manifest:           o.Manifest,
 		CheckpointDir:      o.CheckpointDir,
-		CheckpointEvery:    o.CheckpointEvery,
 		Resume:             o.Resume,
 		CellRetries:        o.Retries,
 		CellTimeout:        o.CellTimeout,
-		HaltAfterCycles:    o.HaltAfter,
 		ResultCache:        cache,
 		FS:                 o.FS,
 	})

@@ -45,8 +45,8 @@ func (s JobState) Terminal() bool {
 type JobKind string
 
 // The job kinds. Kernel and Spec jobs run exactly one simulation cell
-// and accept the single-cell options (trace sink, sampler, fault plan,
-// halt-after); Experiment, Sweep and FaultCampaign jobs fan out over
+// and accept the single-cell options (trace sink, sampler, fault
+// plan); Experiment, Sweep and FaultCampaign jobs fan out over
 // cell grids and reject them.
 const (
 	KindKernel        JobKind = "kernel"         // one named Table 2 kernel
@@ -84,7 +84,7 @@ var (
 
 // wireSentinels maps wire codes to sentinel errors in classification
 // priority order: service-level conditions first (they are the most
-// actionable), then the runner/checkpoint taxonomy, then the broad
+// actionable), then the runner taxonomy, then the broad
 // classifications. WireError picks the first match, so a CellError
 // wrapping ErrCellTimeout codes as "cell-timeout", not "canceled".
 var wireSentinels = []struct {
@@ -96,12 +96,6 @@ var wireSentinels = []struct {
 	{"draining", ErrDraining},
 	{"unknown-job", ErrUnknownJob},
 	{"not-finished", ErrNotFinished},
-	{"halted", olerrors.ErrHalted},
-	{"checkpoint-format", olerrors.ErrCheckpointFormat},
-	{"checkpoint-truncated", olerrors.ErrCheckpointTruncated},
-	{"checkpoint-checksum", olerrors.ErrCheckpointChecksum},
-	{"checkpoint-version", olerrors.ErrCheckpointVersion},
-	{"checkpoint-mismatch", olerrors.ErrCheckpointMismatch},
 	{"cell-timeout", olerrors.ErrCellTimeout},
 	{"cell-panic", olerrors.ErrCellPanic},
 	{"twin-confidence", twin.ErrOutOfConfidence},
@@ -189,18 +183,15 @@ type RunOpts struct {
 	Manifest bool `json:"manifest,omitempty"`
 	// Fault arms a seeded ordering-fault plan (single-cell jobs only).
 	Fault fault.Spec `json:"fault,omitempty"`
-	// CheckpointDir/CheckpointEvery/Resume are the crash-safe options;
-	// see the facade's WithCheckpointDir family.
-	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
-	CheckpointEvery int64  `json:"checkpoint_every,omitempty"`
-	Resume          bool   `json:"resume,omitempty"`
+	// CheckpointDir/Resume are the crash-safe options: a journal of
+	// finished cells, replayed on resume; see the facade's
+	// WithCheckpointDir.
+	CheckpointDir string `json:"checkpoint_dir,omitempty"`
+	Resume        bool   `json:"resume,omitempty"`
 	// Retries and CellTimeout drive the per-cell retry/watchdog loop.
 	// CellTimeout marshals as nanoseconds.
 	Retries     int           `json:"retries,omitempty"`
 	CellTimeout time.Duration `json:"cell_timeout_ns,omitempty"`
-	// HaltAfter deterministically stops a single-cell run at the first
-	// engine step past this core cycle (crash-resume testing).
-	HaltAfter int64 `json:"halt_after,omitempty"`
 	// StreamTrace relays the machine's event feed to Watch subscribers
 	// as "trace" events (single-cell jobs only).
 	StreamTrace bool `json:"stream_trace,omitempty"`
@@ -227,8 +218,8 @@ type RunOpts struct {
 	// TwinPredictor is an already-loaded calibration (the daemon
 	// attaches its shared one); takes precedence over Calibration.
 	TwinPredictor *twin.Predictor `json:"-"`
-	// FS is the filesystem the run's durability layers (checkpoints,
-	// journals, result-cache blobs) write through; nil means the real
+	// FS is the filesystem the run's durability layers (the progress
+	// journal, result-cache blobs) write through; nil means the real
 	// one. The chaos harness injects its seeded sick disk here. Never
 	// crosses the wire — a daemon's disks are its own.
 	FS chaos.FS `json:"-"`
@@ -241,16 +232,10 @@ func (o *RunOpts) Validate() error {
 	switch {
 	case o.Resume && o.CheckpointDir == "":
 		return fmt.Errorf("serve: %w: WithResume (resume) needs a checkpoint directory (WithCheckpointDir)", olerrors.ErrInvalidSpec)
-	case o.CheckpointEvery != 0 && o.CheckpointDir == "":
-		return fmt.Errorf("serve: %w: WithCheckpointEvery (checkpoint_every) needs a checkpoint directory (WithCheckpointDir)", olerrors.ErrInvalidSpec)
-	case o.CheckpointEvery < 0:
-		return fmt.Errorf("serve: %w: checkpoint cadence %d is negative", olerrors.ErrInvalidSpec, o.CheckpointEvery)
 	case o.Retries < 0:
 		return fmt.Errorf("serve: %w: retry count %d is negative", olerrors.ErrInvalidSpec, o.Retries)
 	case o.CellTimeout < 0:
 		return fmt.Errorf("serve: %w: cell timeout %v is negative", olerrors.ErrInvalidSpec, o.CellTimeout)
-	case o.HaltAfter < 0:
-		return fmt.Errorf("serve: %w: halt-after cycle %d is negative", olerrors.ErrInvalidSpec, o.HaltAfter)
 	case o.BytesPerChannel < 0:
 		return fmt.Errorf("serve: %w: bytes per channel %d is negative", olerrors.ErrInvalidSpec, o.BytesPerChannel)
 	}
@@ -264,12 +249,10 @@ func (o *RunOpts) Validate() error {
 	}
 	if o.Engine == "twin" {
 		// The twin answers from a fitted model — it has no machine to
-		// checkpoint, trace, sample, halt, fault or distribute.
+		// journal, trace, sample, fault or distribute.
 		switch {
 		case o.CheckpointDir != "" || o.Resume:
 			return fmt.Errorf("serve: %w: checkpoints journal cycle-engine progress; the twin engine has none (drop WithCheckpointDir/WithResume)", olerrors.ErrInvalidSpec)
-		case o.HaltAfter > 0:
-			return fmt.Errorf("serve: %w: WithHaltAfter stops a cycle engine mid-run; the twin engine has no cycles to halt", olerrors.ErrInvalidSpec)
 		case o.Sink != nil || o.StreamTrace:
 			return fmt.Errorf("serve: %w: the twin engine simulates nothing and emits no event feed (drop WithTraceSink/stream_trace)", olerrors.ErrInvalidSpec)
 		case o.Sampler != nil:
@@ -377,8 +360,6 @@ func (r *JobRequest) Validate() error {
 			return fmt.Errorf("serve: %w: WithTraceSink (stream_trace) attaches to exactly one run; %s jobs fan out many cells", olerrors.ErrInvalidSpec, r.Kind)
 		case r.Opts.Sampler != nil:
 			return fmt.Errorf("serve: %w: WithSampler attaches to exactly one run; %s jobs fan out many cells", olerrors.ErrInvalidSpec, r.Kind)
-		case r.Opts.HaltAfter > 0:
-			return fmt.Errorf("serve: %w: WithHaltAfter attaches to exactly one run; %s jobs fan out many cells", olerrors.ErrInvalidSpec, r.Kind)
 		case r.Opts.Fault.Active():
 			return fmt.Errorf("serve: %w: WithFaultPlan applies to exactly one run; use RunFaultedKernelContext or a fault-campaign job", olerrors.ErrInvalidSpec)
 		}

@@ -42,7 +42,8 @@ type LocalConfig struct {
 	// checkpoint directory one keyed by the request's content hash
 	// under this root, with resume armed. A job preempted by Drain (or
 	// a daemon crash) then continues from its journal when the
-	// identical request is resubmitted — checkpoint-backed preemption.
+	// identical request is resubmitted: finished cells replay from the
+	// journal and only the rest simulate.
 	CheckpointRoot string
 
 	// CacheDir, when set, opens a shared content-addressed result
@@ -476,8 +477,8 @@ func (s *Local) HeartbeatWork(_ context.Context, hb WorkHeartbeat) (bool, error)
 
 // jobMemoizable excludes jobs whose results the cache must not serve:
 // manifest runs (they exist to record fresh provenance), streaming and
-// sampling runs (the side channel is the point), halted runs, and
-// anything fault-injected — the campaign's oracle must genuinely
+// sampling runs (the side channel is the point), and anything
+// fault-injected — the campaign's oracle must genuinely
 // re-attack the simulator, so fault-campaign jobs and sweeps (which
 // embed the campaign experiment) always run. Twin jobs are excluded
 // too: their answers are approximations keyed to a calibration file on
@@ -487,7 +488,7 @@ func (s *Local) HeartbeatWork(_ context.Context, hb WorkHeartbeat) (bool, error)
 func jobMemoizable(req *JobRequest) bool {
 	o := &req.Opts
 	return !o.Manifest && !o.StreamTrace && o.Sink == nil && o.Sampler == nil &&
-		o.HaltAfter == 0 && !o.Fault.Active() && o.Engine != "twin" &&
+		!o.Fault.Active() && o.Engine != "twin" &&
 		req.Kind != KindFaultCampaign && req.Kind != KindSweep
 }
 
@@ -503,7 +504,7 @@ func jobCacheKey(req *JobRequest) string {
 	r.IdempotencyKey = ""
 	o := r.Opts
 	o.Parallelism = 0
-	o.CheckpointDir, o.CheckpointEvery, o.Resume = "", 0, false
+	o.CheckpointDir, o.Resume = "", false
 	o.Retries, o.CellTimeout = 0, 0
 	o.CacheDir, o.Fabric = "", false
 	o.Progress, o.Sink, o.Sampler, o.Cache, o.TwinPredictor = nil, nil, nil, nil, nil

@@ -113,7 +113,6 @@ func TestLocalSubmitValidation(t *testing.T) {
 			r.Opts.Resume = true
 			return r
 		}(), olerrors.ErrInvalidSpec},
-		{"halt-after on sweep", JobRequest{Kind: KindSweep, Opts: RunOpts{HaltAfter: 100}}, olerrors.ErrInvalidSpec},
 		{"stream-trace on experiment", JobRequest{Kind: KindExperiment, Experiment: "fig5", Opts: RunOpts{StreamTrace: true}}, olerrors.ErrInvalidSpec},
 	}
 	for _, tc := range cases {

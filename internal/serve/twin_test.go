@@ -112,7 +112,6 @@ func TestValidateTwinOptions(t *testing.T) {
 		{"dense flag vs twin", RunOpts{Dense: true, Engine: "twin"}, "conflicts with engine"},
 		{"twin with checkpoints", RunOpts{Engine: "twin", CheckpointDir: "ck"}, "checkpoints journal cycle-engine progress"},
 		{"twin with resume", RunOpts{Engine: "twin", CheckpointDir: "ck", Resume: true}, "checkpoints journal cycle-engine progress"},
-		{"twin with halt", RunOpts{Engine: "twin", HaltAfter: 100}, "no cycles to halt"},
 		{"twin with stream-trace", RunOpts{Engine: "twin", StreamTrace: true}, "no event feed"},
 		{"twin with sampler", RunOpts{Engine: "twin", Sampler: stats.NewSampler(100)}, "no counters to sample"},
 		{"twin with fabric", RunOpts{Engine: "twin", Fabric: true}, "microseconds of local math"},

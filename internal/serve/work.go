@@ -165,16 +165,12 @@ type WorkerOptions struct {
 	// directory safely serves leases of many jobs.
 	CheckpointDir string
 
-	// CheckpointEvery is the mid-cell checkpoint cadence in core
-	// cycles; <= 0 uses the runner default. Needs CheckpointDir.
-	CheckpointEvery int64
-
 	// Parallelism overrides the leased job's cell worker pool on this
 	// worker; <= 0 keeps the job's own setting.
 	Parallelism int
 
-	// FS is the filesystem this worker's journal, checkpoints and
-	// result cache write through; nil means the real one (the chaos
+	// FS is the filesystem this worker's journal and result cache
+	// write through; nil means the real one (the chaos
 	// harness injects its sick disk here).
 	FS chaos.FS
 
@@ -344,7 +340,6 @@ func workerEngine(req *JobRequest, opts WorkerOptions) (*runner.Engine, error) {
 		CellRetries:        o.Retries,
 		CellTimeout:        o.CellTimeout,
 		CheckpointDir:      opts.CheckpointDir,
-		CheckpointEvery:    opts.CheckpointEvery,
 		Resume:             opts.CheckpointDir != "",
 		ResultCache:        cache,
 		FS:                 opts.FS,

@@ -180,7 +180,7 @@ func TestJobMemoization(t *testing.T) {
 // TestJobMemoizableExclusions pins which jobs may never be memoized
 // whole: anything that must genuinely run (fault campaigns and the
 // sweeps embedding them, manifest runs recording fresh provenance,
-// streaming/sampling/halted runs).
+// streaming/sampling runs).
 func TestJobMemoizableExclusions(t *testing.T) {
 	base := localReq()
 	if !jobMemoizable(&base) {
@@ -191,7 +191,6 @@ func TestJobMemoizableExclusions(t *testing.T) {
 		"sweep":          {Kind: KindSweep},
 		"manifest":       func() JobRequest { r := localReq(); r.Opts.Manifest = true; return r }(),
 		"stream-trace":   {Kind: KindKernel, Kernel: "add", Opts: RunOpts{StreamTrace: true}},
-		"halt-after":     {Kind: KindKernel, Kernel: "add", Opts: RunOpts{HaltAfter: 100}},
 	}
 	for name, req := range cases {
 		if jobMemoizable(&req) {

@@ -120,7 +120,8 @@ func (e *Engine) Run(done func() bool, deadline Time) error {
 // limit: the engine stops *between* events with every clock untouched,
 // so a later RunUntil (or Run) continues with exactly the event sequence
 // an uninterrupted run would have produced. This is the windowed run
-// primitive behind checkpointing, abort polling, and halt-at-cycle.
+// primitive behind the machine's abort poll (watchdog and
+// cancellation).
 func (e *Engine) RunUntil(done func() bool, limit Time) (bool, error) {
 	for !done() {
 		if len(e.clocks) == 0 {

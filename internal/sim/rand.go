@@ -10,13 +10,6 @@ type Rand struct {
 // NewRand returns a generator seeded with seed.
 func NewRand(seed uint64) *Rand { return &Rand{state: seed} }
 
-// State returns the generator's internal state for checkpointing.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a state previously returned by State, after which
-// the generator reproduces the same sequence it would have continued.
-func (r *Rand) SetState(s uint64) { r.state = s }
-
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

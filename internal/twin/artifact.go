@@ -94,7 +94,7 @@ func sortEntries(es []Entry) {
 }
 
 // Encode renders the artifact into the versioned container format
-// shared with internal/ckpt and internal/rcache:
+// shared with internal/rcache:
 //
 //	magic "OLCAL1" | version uint16 | payload length uint64 | sha256 | gob payload
 //
@@ -170,7 +170,7 @@ func (a *Artifact) Hash() string {
 }
 
 // Save writes the artifact to path atomically (temp file + fsync +
-// rename), the same crash discipline as checkpoints and cache blobs.
+// rename), the same crash discipline as result-cache blobs.
 func Save(a *Artifact, path string) error {
 	blob, err := Encode(a)
 	if err != nil {

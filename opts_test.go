@@ -30,19 +30,17 @@ func TestBuildOpts(t *testing.T) {
 		WithFaultPlan(fspec),
 		WithManifest(),
 		WithCheckpointDir("ck"),
-		WithCheckpointEvery(512),
 		WithResume(),
 		WithCellRetries(2),
 		WithCellTimeout(5*time.Second),
-		WithHaltAfter(9000),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Parallelism != 3 || !o.NoKernelCache || !o.Dense || o.BytesPerChannel != 4096 ||
 		o.Sink != sink || o.Sampler != sampler || o.Fault != fspec || !o.Manifest ||
-		o.CheckpointDir != "ck" || o.CheckpointEvery != 512 || !o.Resume ||
-		o.Retries != 2 || o.CellTimeout != 5*time.Second || o.HaltAfter != 9000 ||
+		o.CheckpointDir != "ck" || !o.Resume ||
+		o.Retries != 2 || o.CellTimeout != 5*time.Second ||
 		o.Progress == nil {
 		t.Fatalf("buildOpts folded wrong: %+v", o)
 	}
@@ -54,11 +52,8 @@ func TestBuildOpts(t *testing.T) {
 	}{
 		{"removed parallel engine", []Option{WithEngine("parallel")}, "want skip|dense|twin"},
 		{"resume without dir", []Option{WithResume()}, ""},
-		{"cadence without dir", []Option{WithCheckpointEvery(512)}, ""},
-		{"negative cadence", []Option{WithCheckpointDir("ck"), WithCheckpointEvery(-1)}, ""},
 		{"negative retries", []Option{WithCellRetries(-1)}, ""},
 		{"negative timeout", []Option{WithCellTimeout(-time.Second)}, ""},
-		{"negative halt", []Option{WithHaltAfter(-5)}, ""},
 		{"malformed fault", []Option{WithFaultPlan(FaultSpec{Class: FaultDropOrdering, Rate: 7})}, ""},
 	}
 	for _, tc := range invalid {
@@ -88,7 +83,6 @@ func TestSweepGuards(t *testing.T) {
 	options := map[string]Option{
 		"WithTraceSink": WithTraceSink(NewPerfettoSink(discard{})),
 		"WithSampler":   WithSampler(stats.NewSampler(100)),
-		"WithHaltAfter": WithHaltAfter(1000),
 		"WithFaultPlan": WithFaultPlan(FaultSpec{Class: FaultDropOrdering, Seed: 1, Rate: 1}),
 	}
 	sweeps := map[string]func(Option) error{

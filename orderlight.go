@@ -73,18 +73,6 @@ var (
 	// ErrCellTimeout reports a cell killed by the WithCellTimeout
 	// watchdog.
 	ErrCellTimeout = olerrors.ErrCellTimeout
-	// ErrHalted reports a run deterministically stopped by WithHaltAfter
-	// after writing its checkpoint; resume with WithResume.
-	ErrHalted = olerrors.ErrHalted
-	// ErrCheckpointFormat, ErrCheckpointTruncated, ErrCheckpointChecksum
-	// and ErrCheckpointVersion classify damaged checkpoint files;
-	// ErrCheckpointMismatch reports a healthy checkpoint that belongs to
-	// a different run (config, cell or engine disagree).
-	ErrCheckpointFormat    = olerrors.ErrCheckpointFormat
-	ErrCheckpointTruncated = olerrors.ErrCheckpointTruncated
-	ErrCheckpointChecksum  = olerrors.ErrCheckpointChecksum
-	ErrCheckpointVersion   = olerrors.ErrCheckpointVersion
-	ErrCheckpointMismatch  = olerrors.ErrCheckpointMismatch
 	// ErrTwinOutOfConfidence reports a cell the twin engine declines to
 	// answer: foreign config, uncalibrated kernel/primitive/footprint,
 	// or a faulted or host cell. WithTwinEscalate re-runs such cells on
@@ -325,7 +313,7 @@ type Option func(*RunOpts)
 
 // buildOpts folds the options into a RunOpts and validates it. Every
 // entry point calls it exactly once; all option invariants (resume
-// needs a checkpoint directory, negative cadences, malformed fault
+// needs a checkpoint directory, negative counts, malformed fault
 // specs, ...) live behind RunOpts.Validate, not in the entry points.
 func buildOpts(opts ...Option) (RunOpts, error) {
 	var o RunOpts
@@ -456,25 +444,17 @@ func WithManifest() Option {
 	return func(o *RunOpts) { o.Manifest = true }
 }
 
-// WithCheckpointDir makes the run crash-safe: the directory accumulates
-// a per-cell progress journal plus periodic whole-machine checkpoints,
-// all written atomically. Combine with WithResume to continue an
-// interrupted run deterministically — the resumed run's results are
-// byte-identical to an uninterrupted one.
+// WithCheckpointDir makes the run crash-safe: every finished cell is
+// appended to a progress journal in the directory, one synced line per
+// cell. Combine with WithResume to continue an interrupted run — the
+// resumed run's results are byte-identical to an uninterrupted one.
 func WithCheckpointDir(dir string) Option {
 	return func(o *RunOpts) { o.CheckpointDir = dir }
 }
 
-// WithCheckpointEvery sets the mid-run checkpoint cadence in core
-// cycles (default 262144). Requires WithCheckpointDir.
-func WithCheckpointEvery(cycles int64) Option {
-	return func(o *RunOpts) { o.CheckpointEvery = cycles }
-}
-
 // WithResume continues an interrupted run from its checkpoint
-// directory: cells the journal records complete are not re-simulated,
-// and a cell with a mid-run checkpoint restarts from it. Requires
-// WithCheckpointDir.
+// directory: cells the journal records complete are not re-simulated;
+// every other cell runs from the start. Requires WithCheckpointDir.
 func WithResume() Option {
 	return func(o *RunOpts) { o.Resume = true }
 }
@@ -490,14 +470,6 @@ func WithCellRetries(n int) Option {
 // retryable failure under WithCellRetries).
 func WithCellTimeout(d time.Duration) Option {
 	return func(o *RunOpts) { o.CellTimeout = d }
-}
-
-// WithHaltAfter deterministically stops the run at the first engine
-// step past the given core cycle, writes a final checkpoint (with
-// WithCheckpointDir) and fails with ErrHalted. It is the reproducible
-// "kill" for exercising crash-resume; single-run entry points only.
-func WithHaltAfter(cycles int64) Option {
-	return func(o *RunOpts) { o.HaltAfter = cycles }
 }
 
 // WithResultCache memoizes completed cells in a content-addressed

@@ -73,26 +73,27 @@ func TestServiceSentinelsAcrossHTTP(t *testing.T) {
 		t.Fatalf("unknown job over HTTP = %v, want ErrUnknownJob", err)
 	}
 
-	// A deterministic runtime failure: halting a kernel without a
-	// checkpoint directory is invalid; with one, the halt sentinel
-	// itself crosses the wire.
-	dir := t.TempDir()
+	// A runtime failure: a sweep canceled by the client fails with the
+	// cancellation sentinel, and its wire code crosses back intact.
 	id, err := client.Submit(ctx, orderlight.JobRequest{
-		Kind: orderlight.JobKernel, Kernel: "add", Bytes: 8 << 10, Config: &cfg,
-		Opts: orderlight.RunOpts{CheckpointDir: dir, HaltAfter: 200},
+		Kind: orderlight.JobExperiment, Experiment: "fig12", Config: &cfg,
+		Opts: orderlight.RunOpts{Parallelism: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := orderlight.AwaitJob(ctx, client, id, nil); !errors.Is(err, orderlight.ErrHalted) {
-		t.Fatalf("halted job over HTTP = %v, want ErrHalted", err)
+	if err := client.Cancel(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := orderlight.AwaitJob(ctx, client, id, nil); !errors.Is(err, orderlight.ErrCanceled) {
+		t.Fatalf("canceled job over HTTP = %v, want ErrCanceled", err)
 	}
 	st, err := client.Status(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != orderlight.JobFailed || st.Error == nil || st.Error.Code != "halted" {
-		t.Fatalf("halted status = %+v", st)
+	if st.State != orderlight.JobCanceled || st.Error == nil || st.Error.Code != "canceled" {
+		t.Fatalf("canceled status = %+v", st)
 	}
 }
 
