@@ -13,19 +13,18 @@ COVER_FLOOR ?= 80.0
 FUZZTIME ?= 10s
 JOURNAL_FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race smoke smoke-serve smoke-fabric smoke-chaos cover fuzz-smoke fuzz-journal calibrate check-twin perf-digest perf-digest-update speedup bench bench-compare profile results check-results clean
+.PHONY: ci vet build test race smoke smoke-serve smoke-chaos cover fuzz-smoke fuzz-journal calibrate check-twin perf-digest perf-digest-update speedup bench bench-compare profile results check-results clean
 
 # ci is the tier-1 gate: vet, build, the full test suite under the race
 # detector (including the serve handler tests), a parallel-vs-sequential
 # and dense-vs-skip smoke of the CLIs, a daemon lifecycle smoke
-# (start → healthz → submit → SIGTERM drain → resume), a distributed
-# sweep-fabric smoke (coordinator + two workers + mid-run SIGKILL), the
-# chaos drill (the same fabric under seeded network+disk fault
-# injection plus a coordinator SIGKILL/restart), a brief run of the
-# journal-decoder fuzzer (crash-safety is a tier-1 property), the
-# twin-engine envelope gate (check-twin), and the perfbench
+# (start → healthz → submit → SIGTERM drain → resume), the chaos drill
+# (a daemon on a seeded sick disk SIGKILLed twice mid-sweep and
+# restarted, under a client with seeded network faults), a brief run
+# of the journal-decoder fuzzer (crash-safety is a tier-1 property),
+# the twin-engine envelope gate (check-twin), and the perfbench
 # determinism gate (perf-digest).
-ci: vet build race smoke smoke-serve smoke-fabric smoke-chaos fuzz-journal check-twin perf-digest
+ci: vet build race smoke smoke-serve smoke-chaos fuzz-journal check-twin perf-digest
 
 vet:
 	$(GO) vet ./...
@@ -145,94 +144,62 @@ smoke-serve:
 	kill -TERM $$pid2; wait $$pid2 || true; pid2=; \
 	echo "smoke-serve: OK (SIGTERM drained mid-sweep; restarted daemon resumed fig12 byte-identically)"
 
-# smoke-fabric checks the distributed sweep fabric end to end: an
-# olserve coordinator (-fabric, 1-cell leases, short lease TTL) farms a
-# fig12 sweep out to olserve -worker processes; the first worker is
-# SIGKILLed mid-run, a second worker joins, and the first restarts on
-# its own checkpoint directory (its journal replays finished cells).
-# The assembled output must be byte-identical to a local olbench run —
-# across a worker crash, a lease expiry and a mixed worker pool.
-smoke-fabric:
-	@$(GO) build -o /tmp/ol-smoke-olserve ./cmd/olserve
-	@$(GO) build -o /tmp/ol-smoke-olbench ./cmd/olbench
-	@tmp=$$(mktemp -d); pid=; w1=; w2=; w1b=; \
-	trap 'kill -9 $$pid $$w1 $$w2 $$w1b 2>/dev/null; rm -rf $$tmp' EXIT; \
-	/tmp/ol-smoke-olserve -addr localhost:0 -addr-file $$tmp/addr \
-		-fabric -lease-timeout 2s -chunk 1 -workers 2 2>$$tmp/serve.log & pid=$$!; \
-	i=0; while [ ! -s $$tmp/addr ] && [ $$i -lt 100 ]; do sleep 0.05; i=$$((i+1)); done; \
-	base="http://$$(cat $$tmp/addr)"; \
-	/tmp/ol-smoke-olserve -healthcheck $$base >/dev/null || { \
-		echo "smoke-fabric: FAIL: coordinator never became healthy"; cat $$tmp/serve.log; exit 1; }; \
-	/tmp/ol-smoke-olbench -exp fig12 -size $(SMOKE_SIZE) -server $$base -fabric \
-		>$$tmp/fabric.md 2>$$tmp/olbench.log & cpid=$$!; \
-	/tmp/ol-smoke-olserve -worker $$base -worker-name w1 \
-		-worker-checkpoint-dir $$tmp/w1 2>$$tmp/w1.log & w1=$$!; \
-	i=0; until [ -s $$tmp/w1/journal.jsonl ]; do \
-		if [ $$i -ge 400 ]; then \
-			echo "smoke-fabric: FAIL: worker 1 journaled no cells"; \
-			cat $$tmp/serve.log $$tmp/w1.log; exit 1; fi; \
-		sleep 0.05; i=$$((i+1)); done; \
-	kill -9 $$w1; wait $$w1 2>/dev/null; w1=; \
-	/tmp/ol-smoke-olserve -worker $$base -worker-name w2 \
-		-worker-checkpoint-dir $$tmp/w2 2>$$tmp/w2.log & w2=$$!; \
-	/tmp/ol-smoke-olserve -worker $$base -worker-name w1b \
-		-worker-checkpoint-dir $$tmp/w1 2>$$tmp/w1b.log & w1b=$$!; \
-	wait $$cpid || { \
-		echo "smoke-fabric: FAIL: fabric sweep failed"; \
-		cat $$tmp/serve.log $$tmp/olbench.log; exit 1; }; \
-	/tmp/ol-smoke-olbench -exp fig12 -size $(SMOKE_SIZE) >$$tmp/local.md 2>/dev/null; \
-	diff $$tmp/local.md $$tmp/fabric.md >/dev/null || { \
-		echo "smoke-fabric: FAIL: fabric output differs from local run"; exit 1; }; \
-	kill $$w2 $$w1b 2>/dev/null; kill -TERM $$pid; wait $$pid || true; pid=; w2=; w1b=; \
-	echo "smoke-fabric: OK (fig12 over 2 workers + mid-run SIGKILL byte-identical to local)"
-
-# smoke-chaos is the fault-injection drill: the smoke-fabric topology
-# (coordinator + two workers, 1-cell leases) runs with -chaos armed on
-# both workers — seeded network faults on every coordinator call,
-# seeded disk faults on every journal write — a journaled coordinator
-# is SIGKILLed mid-run and restarted on the same -fabric-journal, and
-# the reassembled output must STILL be byte-identical to a local run.
-# A second leg pins the determinism claim itself: two identical local
-# runs with the same -chaos-seed must emit the identical injected-fault
-# trace (and identical results), so any failure this target ever finds
-# is replayable from its seed.
+# smoke-chaos is the fault-injection drill. Its first leg kills the
+# daemon: an olserve with -checkpoint-root and a seeded sick disk
+# (-chaos fs=...) runs an olbench -server sweep whose own link carries
+# seeded network faults (-chaos net=...). The daemon is SIGKILLed twice
+# mid-sweep and restarted on the same address and root each time;
+# olbench resubmits the vanished job, the restarted daemon resumes it
+# from its cell journal, and the output must still be byte-identical to
+# a local run. At fs=0.15, seed 2 lets each daemon life journal one
+# cell and then tears its next append, so each kill waits for that
+# torn tail and every restart resumes over a torn journal. The sweep
+# finishing before a kill lands fails the leg. The second leg pins the
+# determinism claim itself: two identical local runs with the same
+# -chaos-seed must emit the identical injected-fault trace (and
+# identical results), so any failure this target ever finds is
+# replayable from its seed.
 smoke-chaos:
 	@$(GO) build -o /tmp/ol-smoke-olserve ./cmd/olserve
 	@$(GO) build -o /tmp/ol-smoke-olbench ./cmd/olbench
-	@tmp=$$(mktemp -d); pid=; pid2=; w1=; w2=; \
-	trap 'kill -9 $$pid $$pid2 $$w1 $$w2 2>/dev/null; rm -rf $$tmp' EXIT; \
-	/tmp/ol-smoke-olserve -addr localhost:0 -addr-file $$tmp/addr \
-		-fabric -fabric-journal $$tmp/board.journal -lease-timeout 2s -chunk 1 \
-		-workers 2 2>$$tmp/serve1.log & pid=$$!; \
+	@tmp=$$(mktemp -d); pid=; cpid=; \
+	trap 'kill -9 $$pid $$cpid 2>/dev/null; rm -rf $$tmp' EXIT; \
+	/tmp/ol-smoke-olbench -exp fig12 -size 131072 -parallel 1 >$$tmp/local.md 2>/dev/null; \
+	serve() { /tmp/ol-smoke-olserve -addr $$1 -addr-file $$tmp/addr -checkpoint-root $$tmp/ck \
+		-workers 1 -chaos fs=0.15 -chaos-seed 2 2>>$$tmp/serve.log & pid=$$!; }; \
+	serve localhost:0; \
 	i=0; while [ ! -s $$tmp/addr ] && [ $$i -lt 100 ]; do sleep 0.05; i=$$((i+1)); done; \
 	base="http://$$(cat $$tmp/addr)"; \
 	/tmp/ol-smoke-olserve -healthcheck $$base >/dev/null || { \
-		echo "smoke-chaos: FAIL: coordinator never became healthy"; cat $$tmp/serve1.log; exit 1; }; \
-	/tmp/ol-smoke-olserve -worker $$base -worker-name cw1 -worker-checkpoint-dir $$tmp/w1 \
-		-chaos net=0.15,fs=0.15 -chaos-seed 7 2>$$tmp/w1.log & w1=$$!; \
-	/tmp/ol-smoke-olserve -worker $$base -worker-name cw2 -worker-checkpoint-dir $$tmp/w2 \
-		-chaos net=0.15,fs=0.15 -chaos-seed 8 2>$$tmp/w2.log & w2=$$!; \
-	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -server $$base -fabric \
-		>$$tmp/chaos.md 2>$$tmp/olbench.log & cpid=$$!; \
-	i=0; until grep -q '"cell"' $$tmp/board.journal 2>/dev/null; do \
-		if [ $$i -ge 600 ]; then \
-			echo "smoke-chaos: FAIL: no cell completed under chaos"; \
-			cat $$tmp/serve1.log $$tmp/w1.log $$tmp/w2.log; exit 1; fi; \
-		sleep 0.05; i=$$((i+1)); done; \
-	kill -9 $$pid; wait $$pid 2>/dev/null; pid=; \
-	/tmp/ol-smoke-olserve -addr $${base#http://} \
-		-fabric -fabric-journal $$tmp/board.journal -lease-timeout 2s -chunk 1 \
-		-workers 2 2>$$tmp/serve2.log & pid2=$$!; \
-	/tmp/ol-smoke-olserve -healthcheck $$base >/dev/null || { \
-		echo "smoke-chaos: FAIL: restarted coordinator never became healthy"; cat $$tmp/serve2.log; exit 1; }; \
-	wait $$cpid || { \
-		echo "smoke-chaos: FAIL: fabric sweep failed under chaos"; \
-		cat $$tmp/serve1.log $$tmp/serve2.log $$tmp/olbench.log $$tmp/w1.log $$tmp/w2.log; exit 1; }; \
-	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) >$$tmp/local.md 2>/dev/null; \
+		echo "smoke-chaos: FAIL: daemon never became healthy"; cat $$tmp/serve.log; exit 1; }; \
+	/tmp/ol-smoke-olbench -exp fig12 -size 131072 -parallel 1 -server $$base \
+		-chaos net=0.05 -chaos-seed 7 >$$tmp/chaos.md 2>$$tmp/olbench.log & cpid=$$!; \
+	lines=0; \
+	for kill in 1 2; do \
+		i=0; until j=$$(ls $$tmp/ck/*/journal.jsonl 2>/dev/null) && \
+			[ $$(wc -l <$$j) -gt $$lines ] && tail -c 1 $$j | grep -q .; do \
+			kill -0 $$cpid 2>/dev/null || { \
+				echo "smoke-chaos: FAIL: sweep ended before kill $$kill"; \
+				cat $$tmp/serve.log $$tmp/olbench.log; exit 1; }; \
+			if [ $$i -ge 1500 ]; then \
+				echo "smoke-chaos: FAIL: daemon life $$kill journaled no cell and torn append within 30s"; \
+				cat $$tmp/serve.log $$tmp/olbench.log; exit 1; fi; \
+			sleep 0.02; i=$$((i+1)); done; \
+		lines=$$(wc -l <$$j); \
+		kill -9 $$pid; wait $$pid 2>/dev/null; \
+		kill -0 $$cpid 2>/dev/null || { \
+			echo "smoke-chaos: FAIL: sweep finished before kill $$kill landed; enlarge the sweep"; exit 1; }; \
+		serve $${base#http://}; \
+		/tmp/ol-smoke-olserve -healthcheck $$base >/dev/null || { \
+			echo "smoke-chaos: FAIL: daemon restart $$kill never became healthy"; cat $$tmp/serve.log; exit 1; }; \
+	done; \
+	wait $$cpid || { cpid=; \
+		echo "smoke-chaos: FAIL: sweep failed across daemon kills"; cat $$tmp/serve.log $$tmp/olbench.log; exit 1; }; \
+	cpid=; \
 	diff $$tmp/local.md $$tmp/chaos.md >/dev/null || { \
-		echo "smoke-chaos: FAIL: chaos-fabric output differs from local run"; exit 1; }; \
-	kill $$w1 $$w2 2>/dev/null; kill -TERM $$pid2; wait $$pid2 2>/dev/null || true; pid2=; w1=; w2=; \
-	echo "smoke-chaos: OK ($(SMOKE_EXP) over 2 chaos workers + coordinator SIGKILL/restart byte-identical to local)"
+		echo "smoke-chaos: FAIL: output across daemon kills differs from local run"; exit 1; }; \
+	kill -TERM $$pid; wait $$pid 2>/dev/null; pid=; \
+	echo "smoke-chaos: OK (fig12 via a daemon SIGKILLed twice over a torn journal, net=0.05 client faults: $$(grep -c '^chaos:' $$tmp/olbench.log) net, $$(grep -c '^chaos:' $$tmp/serve.log) fs; byte-identical to local)"
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -parallel 1 \
 		-cache-dir $$tmp/rc1 -chaos fs=0.4 -chaos-seed 11 >$$tmp/a.md 2>$$tmp/a.log || { \

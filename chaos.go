@@ -5,13 +5,12 @@ import (
 	"net/http"
 
 	"orderlight/internal/chaos"
-	"orderlight/internal/runner"
 	"orderlight/internal/serve"
 )
 
 // This file is the public face of the infrastructure chaos harness
 // (internal/chaos): deterministic, seed-driven fault injection for the
-// serve/fabric/cache plane. One ChaosPlan drives both a transport
+// serve/journal/cache plane. One ChaosPlan drives both a transport
 // wrapper (connection resets, timeouts, envelope-less 5xx, garbage
 // bodies, duplicate deliveries, delays) and a filesystem shim (ENOSPC,
 // torn writes, fsync failures, rename races) — every decision a pure
@@ -74,20 +73,14 @@ func WithChaosFS(fs ChaosFS) Option {
 type ServiceRetryPolicy = serve.RetryPolicy
 
 // ServiceHealth is the daemon's /healthz payload: status ("ok" or
-// "draining"), queue load, cache counters and degrade flag, and — on
-// fabric coordinators — the per-worker liveness view.
+// "draining"), queue load, and cache counters and degrade flag.
 type ServiceHealth = serve.HealthInfo
-
-// FabricWorkerStatus is one fabric worker's liveness snapshot inside
-// ServiceHealth: last-seen time, held leases, expiry streak and the
-// flap-detection verdict.
-type FabricWorkerStatus = runner.WorkerStatus
 
 // SubmitAndAwaitJob is Submit followed by AwaitJob, hardened against a
 // daemon restart: when the job vanishes mid-wait (the daemon lost its
 // in-memory job store), the identical request is resubmitted and
-// awaited again — with a retry-armed client and a journaled fabric
-// coordinator, the resubmission attaches to the replayed job and
+// awaited again — with a retry-armed client and a daemon run with a
+// checkpoint root, the resubmission lands on the job's cell journal and
 // completed cells are not re-run.
 func SubmitAndAwaitJob(ctx context.Context, svc Service, req JobRequest, onEvent func(WatchEvent)) (*JobResult, error) {
 	return serve.SubmitAndAwait(ctx, svc, req, onEvent)

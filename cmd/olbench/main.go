@@ -21,7 +21,6 @@
 //	olbench -exp all -retries 2 -cell-timeout 5m # retry/watchdog flaky cells
 //	olbench -exp fig5 -server http://localhost:8080  # run on an olserve daemon
 //	olbench -exp all -cache-dir rc     # memoize cells; an identical rerun simulates nothing
-//	olbench -exp fig12 -server URL -fabric  # distribute cells over olserve -worker processes
 //	olbench -exp fig5 -chaos fs=0.2 -chaos-seed 7 -cache-dir rc  # seeded fault injection drill
 //	olbench -list                      # list experiment IDs
 package main
@@ -70,7 +69,6 @@ func main() {
 
 		server = flag.String("server", "", "submit the experiment to an olserve daemon at this base URL instead of simulating in process (output is byte-identical)")
 		tenant = flag.String("tenant", "", "tenant name for the daemon's admission quotas (-server mode)")
-		fabric = flag.Bool("fabric", false, "run the job on the daemon's distributed sweep fabric (needs -server and olserve -worker processes; output stays byte-identical)")
 
 		retries  = flag.Int("retries", 0, "retry transiently failing cells (panic, deadline, timeout) up to N times with backoff")
 		cellTime = flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog; a cell running longer fails as a timeout (0 disables)")
@@ -168,10 +166,6 @@ func main() {
 		}))
 	}
 
-	if *fabric && *server == "" {
-		fatal(fmt.Errorf("-fabric distributes cells over a daemon's workers; it needs -server"))
-	}
-
 	start := time.Now()
 	var tables []*orderlight.Table
 	switch {
@@ -195,7 +189,6 @@ func main() {
 			Manifest:        *manifest,
 			Retries:         *retries,
 			CellTimeout:     *cellTime,
-			Fabric:          *fabric,
 		}, &cells, chaosPlan)
 	case *exp == "all":
 		tables, err = orderlight.RunAllExperimentsContext(ctx, cfg, opts...)

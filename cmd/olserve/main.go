@@ -9,10 +9,7 @@
 //	GET    /v1/jobs/{id}/result job result (409 until terminal)
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/jobs/{id}/events lifecycle stream (server-sent events)
-//	POST   /v1/work/lease       fabric workers lease a cell range (-fabric)
-//	POST   /v1/work/complete    fabric workers report lease outcomes (-fabric)
-//	POST   /v1/work/heartbeat   fabric workers extend a held lease mid-execution
-//	GET    /healthz             liveness, queue load, cache health, worker flap view
+//	GET    /healthz             liveness, queue load, cache health
 //	GET    /v1/version          protocol + toolchain versions
 //
 // SIGTERM and SIGINT drain gracefully: admission stops, queued jobs
@@ -23,20 +20,14 @@
 // jobs memoize in a content-addressed result cache shared across
 // tenants, so identical resubmissions are served without simulating.
 //
-// With -fabric, jobs submitted with RunOpts.Fabric (olbench -fabric)
-// are not simulated by the daemon itself: their cells go onto a lease
-// board that `olserve -worker` processes drain. The coordinator
-// reassembles outcomes in declaration order, so fabric output is
-// byte-identical to a local run even across worker crashes. With
-// -fabric-journal, the board itself survives a coordinator SIGKILL:
-// the restarted daemon replays completions and a resubmitted job
-// attaches to them instead of starting over. Workers heartbeat held
-// leases; a worker that repeatedly goes silent is marked flapping and
-// gets shorter leases so its work re-issues early.
+// A daemon SIGKILLed mid-sweep loses its in-memory job store but not
+// its -checkpoint-root journals: a client that resubmits the identical
+// request to the restarted daemon (olbench -server does so on its own)
+// replays the journaled cells and simulates only the rest.
 //
 // -chaos arms deterministic fault injection (seeded by -chaos-seed)
-// against the process's own infrastructure: a worker's coordinator
-// calls and journal/cache writes, or the daemon's disk. It exists to
+// against the daemon's own disk: every job's cell journal and the
+// result cache write through the seeded sick filesystem. It exists to
 // drill the recovery machinery — see `make smoke-chaos`.
 //
 // Usage:
@@ -45,10 +36,7 @@
 //	olserve -addr localhost:0 -addr-file daemon.addr   # scripted port pick
 //	olserve -addr localhost:8080 -cache-dir /var/tmp/olcache  # memoize results
 //	olserve -cache-dir /var/tmp/olcache -cache-cap 1073741824  # 1 GiB LRU budget
-//	olserve -addr localhost:8080 -fabric               # coordinator for -worker processes
-//	olserve -fabric -fabric-journal board.journal      # coordinator survives SIGKILL
-//	olserve -worker http://localhost:8080 -worker-checkpoint-dir w1  # fabric worker
-//	olserve -worker URL -chaos net=0.2,fs=0.1 -chaos-seed 7  # chaos-drilled worker
+//	olserve -checkpoint-root ck -chaos fs=0.1 -chaos-seed 7  # chaos-drilled disk
 //	olserve -healthcheck http://localhost:8080          # probe; 0 up, 2 draining, 1 down
 package main
 
@@ -84,18 +72,7 @@ func main() {
 
 		calibration = flag.String("calibration", "", "load this twin calibration artifact once and share it with every engine=twin job that brings none of its own")
 
-		fabric        = flag.Bool("fabric", false, "coordinate Fabric jobs: lease their cells to olserve -worker processes instead of simulating locally")
-		leaseTimeout  = flag.Duration("lease-timeout", 0, "fabric lease TTL; an uncompleted lease re-issues after this long (0 = default 30s)")
-		chunk         = flag.Int("chunk", 0, "cells per fabric lease (0 = default 4)")
-		fabricJournal = flag.String("fabric-journal", "", "append every acknowledged fabric board mutation to this crash journal; a SIGKILLed coordinator restarted on it replays completions, and resubmitted jobs attach instead of starting over (needs -fabric)")
-
 		cacheCap = flag.Int64("cache-cap", 0, "result cache disk budget in bytes; least-recently-used blobs evict beyond it (0 = unbounded; needs -cache-dir)")
-
-		worker         = flag.String("worker", "", "worker mode: join the fabric coordinated by the olserve daemon at this base URL (no daemon is started)")
-		workerName     = flag.String("worker-name", "", "worker mode: name reported with each lease (default host:pid)")
-		workerCkptDir  = flag.String("worker-checkpoint-dir", "", "worker mode: journal leased cells in this directory so a restarted worker replays finished cells")
-		workerPoll     = flag.Duration("worker-poll", 0, "worker mode: how long to wait before re-polling an empty lease board (0 = default 250ms)")
-		workerParallel = flag.Int("worker-parallel", 0, "worker mode: per-lease worker pool size override (0 = the job's own setting)")
 
 		healthcheck   = flag.String("healthcheck", "", "client mode: poll BASE/healthz until healthy; exit 0 when up, 2 when draining, 1 when down (no daemon is started)")
 		healthTimeout = flag.Duration("healthcheck-timeout", 10*time.Second, "how long -healthcheck polls before giving up")
@@ -112,12 +89,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *worker != "" {
-		os.Exit(runWorker(*worker, *workerName, *workerCkptDir, *workerPoll, *workerParallel, chaosPlan))
-	}
-	if *fabricJournal != "" && !*fabric {
-		fatal(fmt.Errorf("-fabric-journal records the fabric board; it needs -fabric"))
-	}
 	if *cacheCap != 0 && *cacheDir == "" {
 		fatal(fmt.Errorf("-cache-cap bounds the on-disk result cache; it needs -cache-dir"))
 	}
@@ -133,14 +104,7 @@ func main() {
 		CacheDir:       *cacheDir,
 		CacheBytes:     *cacheCap,
 		Calibration:    *calibration,
-		Fabric:         *fabric,
-		LeaseTTL:       *leaseTimeout,
-		FabricChunk:    *chunk,
-		FabricJournal:  *fabricJournal,
 		FS:             orderlight.NewChaosFS(chaosPlan, nil),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "olserve: "+format+"\n", args...)
-		},
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -178,43 +142,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "olserve: shutdown:", err)
 	}
 	fmt.Fprintln(os.Stderr, "olserve: drained")
-}
-
-// runWorker joins a fabric coordinator as a worker until SIGTERM or
-// SIGINT. A worker killed outright (SIGKILL mid-lease) is safe: its
-// lease expires on the coordinator and re-issues, and on restart the
-// journal in -worker-checkpoint-dir replays the cells it had finished.
-// A chaos plan, when armed, injects network faults into every
-// coordinator call (retried with backoff — the worker is built to
-// survive them) and disk faults into the worker's journal and cache.
-func runWorker(base, name, ckptDir string, poll time.Duration, parallel int, plan *orderlight.ChaosPlan) int {
-	if name == "" {
-		host, _ := os.Hostname()
-		name = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	client := orderlight.NewServiceClient(base, &http.Client{Transport: orderlight.ChaosTransport(plan, nil)})
-	client.EnableRetry(orderlight.ServiceRetryPolicy{Attempts: 5, Logf: func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "olserve: worker %s: %s\n", name, fmt.Sprintf(format, args...))
-	}})
-	fmt.Fprintf(os.Stderr, "olserve: worker %s joining fabric at %s\n", name, base)
-	err := orderlight.RunFabricWorker(ctx, client, orderlight.FabricWorkerOptions{
-		Name:          name,
-		Poll:          poll,
-		CheckpointDir: ckptDir,
-		Parallelism:   parallel,
-		FS:            orderlight.NewChaosFS(plan, nil),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "olserve: worker %s: %s\n", name, fmt.Sprintf(format, args...))
-		},
-	})
-	if err != nil && ctx.Err() == nil {
-		fmt.Fprintln(os.Stderr, "olserve: worker:", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "olserve: worker %s stopped\n", name)
-	return 0
 }
 
 // probe polls the daemon's health endpoint until it answers or the

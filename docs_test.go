@@ -10,14 +10,14 @@ import (
 
 // Documentation drifts when a flag is renamed but its mention in the
 // operator docs is not. This test extracts every backticked -flag
-// token from the operator-facing documents and checks that a flag of
+// token from the top-level documents and checks that a flag of
 // that name is actually registered somewhere in the CLIs (or the
 // shared cliflags groups). It is deliberately one-directional:
 // documenting a nonexistent flag fails; an undocumented flag does not
 // (not every debugging knob belongs in the operator docs).
 
 // docFlagFiles are the documents whose flag mentions must be real.
-var docFlagFiles = []string{"ARCHITECTURE.md", "OPERATIONS.md", "README.md"}
+var docFlagFiles = []string{"ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md", "README.md"}
 
 // flagSourceFiles is where flags are registered.
 var flagSourceGlobs = []string{"cmd/*/main.go", "internal/cliflags/*.go"}
@@ -119,8 +119,8 @@ func TestTwinFlagSurfaceRegistered(t *testing.T) {
 }
 
 // The reverse direction for the operator-critical olserve surface:
-// every daemon/worker flag olserve registers must appear in
-// OPERATIONS.md, since that file claims to be the complete reference.
+// every flag olserve registers must appear in OPERATIONS.md, since that
+// file claims to be the complete reference.
 func TestOperationsCoversOlserveFlags(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("cmd", "olserve", "main.go"))
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package chaos is deterministic fault injection for the
-// infrastructure plane: the HTTP paths between clients, the
-// coordinator and fabric workers, and the filesystem underneath the
-// result cache and the progress journals.
+// infrastructure plane: the HTTP path between clients and the olserve
+// daemon, and the filesystem underneath the result cache and the
+// progress journals.
 //
 // It mirrors the stateless splitmix64 plan idiom of internal/fault,
 // which attacks the *simulated hardware*: one seeded Spec describes
@@ -34,8 +34,8 @@ import (
 
 // Class enumerates the infrastructure fault families the injector can
 // introduce. The first group attacks the network between serve
-// clients, the coordinator and workers; the second attacks the disk
-// under the cache and the journals.
+// clients and the daemon; the second attacks the disk under the cache
+// and the journals.
 type Class uint8
 
 const (

@@ -38,7 +38,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	case ClassReset:
 		// Deliver, then lose the answer: the ambiguous failure. The
-		// server-side effect (a submitted job, a completed lease) is
+		// server-side effect (a submitted job, a canceled one) is
 		// real; the caller sees only a dead connection.
 		resp, err := t.base.RoundTrip(req)
 		if err == nil {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,10 +41,15 @@ type cellJournal struct {
 
 // openJournal opens (creating if needed) a journal for appending
 // through fsys, the seam the chaos harness uses to make appends fail;
-// nil means the real filesystem.
+// nil means the real filesystem. A partial last line left by an earlier
+// run is cut off first: appended after it, the fragment would become a
+// corrupt middle line and fail the next resume.
 func openJournal(path string, fsys chaos.FS) (*cellJournal, error) {
 	if fsys == nil {
 		fsys = chaos.OS
+	}
+	if err := trimTornTail(path); err != nil {
+		return nil, fmt.Errorf("runner: journal: %w", err)
 	}
 	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -51,6 +57,27 @@ func openJournal(path string, fsys chaos.FS) (*cellJournal, error) {
 	}
 	return &cellJournal{f: f}, nil
 }
+
+// trimTornTail cuts the journal at path back to its last complete line.
+// Like the journal's reads it bypasses the chaos seam: it only removes
+// bytes readJournal already skips.
+func trimTornTail(path string) error {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if n := completeLen(data); n < len(data) {
+		return os.Truncate(path, int64(n))
+	}
+	return nil
+}
+
+// completeLen is the length of data's complete lines: everything up to
+// and including the last newline.
+func completeLen(data []byte) int { return bytes.LastIndexByte(data, '\n') + 1 }
 
 // Append records one completed cell. The entry is marshaled to a single
 // line, written in one call, and synced before Append returns, so an

@@ -102,10 +102,10 @@ func TestJournalRejectsMissingHash(t *testing.T) {
 	}
 }
 
-// TestJournalConcurrentWriters models the fabric shape: two worker
-// processes (two independent Journal handles, no shared mutex) append
-// completion records to one file at the same time. O_APPEND plus
-// one-write-per-entry must keep every line intact.
+// TestJournalConcurrentWriters models two runs of one request sharing
+// a checkpoint directory (two independent journal handles, no shared
+// mutex) appending completion records to one file at the same time.
+// O_APPEND plus one-write-per-entry must keep every line intact.
 func TestJournalConcurrentWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	const perWriter = 50
@@ -227,7 +227,8 @@ func TestJournalCorruptMiddleIsLoud(t *testing.T) {
 // entry it accepts must carry its cell hash. Then the accepted entries
 // are written back the way Append writes them, a torn prefix of one
 // more entry is added (a crash mid-append), and the result must load
-// with every accepted entry intact.
+// with every accepted entry intact. Cut back to its last complete line
+// and appended to, as a resume does, it must load once more.
 func FuzzLoadJournal(f *testing.F) {
 	valid := `{"Key":"z","Hash":"hz","Run":{"PIMCommands":3},"HostLatency":1.5,"HostServed":2,"Fault":null}`
 	f.Add([]byte(""), 0)
@@ -257,6 +258,7 @@ func FuzzLoadJournal(f *testing.F) {
 			cut = -cut
 		}
 		buf.WriteString(valid[:cut%len(valid)])
+		torn := append([]byte(nil), buf.Bytes()...)
 		again, err := readJournal(&buf, "fuzz")
 		if err != nil {
 			t.Fatalf("torn tail after %d accepted entries refused: %v", len(got), err)
@@ -265,6 +267,21 @@ func FuzzLoadJournal(f *testing.F) {
 			if _, ok := again[h]; !ok {
 				t.Fatalf("entry %q lost behind a torn tail", h)
 			}
+		}
+		// A resume cuts the torn tail before it appends (openJournal),
+		// so the next resume reads every entry plus the appended one.
+		appended := append(torn[:completeLen(torn)], strings.Replace(valid, `"hz"`, `"h-appended"`, 1)+"\n"...)
+		after, err := readJournal(bytes.NewReader(appended), "fuzz")
+		if err != nil {
+			t.Fatalf("append after a trimmed torn tail refused: %v", err)
+		}
+		for h := range got {
+			if _, ok := after[h]; !ok {
+				t.Fatalf("entry %q lost when the torn tail was cut", h)
+			}
+		}
+		if _, ok := after["h-appended"]; !ok {
+			t.Fatal("entry appended after the cut tail is missing")
 		}
 	})
 }

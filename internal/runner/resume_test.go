@@ -29,63 +29,83 @@ func oneCell(t *testing.T) []Cell {
 	return []Cell{{Key: "resume/add/orderlight", Cfg: cfg, Spec: spec, Bytes: 8 << 10}}
 }
 
+// TestSweepResumeFromJournal crashes a journaled sweep after two cells,
+// resumes it, and resumes it again. The crash either cuts the journal
+// at a line boundary or tears the third line mid-write; a torn tail
+// must be cut before the first resume appends, or the second resume
+// reads a corrupt middle line. No cell is simulated twice.
 func TestSweepResumeFromJournal(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	cells := testCells(t)
-	ref, err := New(Options{Parallelism: 1}).Run(ctx, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Options{Parallelism: 1, CheckpointDir: dir}).Run(ctx, cells); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash after the first two cells: drop the journal's tail.
-	jpath := filepath.Join(dir, "journal.jsonl")
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatalf("journal has %d lines, want >= 4", len(lines))
-	}
-	if err := os.WriteFile(jpath, append(append([]byte(nil), lines[0]...), lines[1]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		torn bool
+	}{{"clean cut", false}, {"torn tail", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			cells := testCells(t)
+			ref, err := New(Options{Parallelism: 1}).Run(ctx, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(Options{Parallelism: 1, CheckpointDir: dir}).Run(ctx, cells); err != nil {
+				t.Fatal(err)
+			}
+			// Simulate a crash after the first two cells.
+			jpath := filepath.Join(dir, "journal.jsonl")
+			data, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(data, []byte("\n"))
+			if len(lines) < 4 {
+				t.Fatalf("journal has %d lines, want >= 4", len(lines))
+			}
+			kept := append(append([]byte(nil), lines[0]...), lines[1]...)
+			if tc.torn {
+				kept = append(kept, lines[2][:len(lines[2])/2]...)
+			}
+			if err := os.WriteFile(jpath, kept, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	var ran int32
-	resumed := testCells(t)
-	for i := range resumed {
-		resumed[i].hook = func() { atomic.AddInt32(&ran, 1) }
-	}
-	res, err := New(Options{Parallelism: 1, CheckpointDir: dir, Resume: true}).Run(ctx, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&ran); got != int32(len(cells)-2) {
-		t.Fatalf("resumed sweep simulated %d cells, want %d (two were journal-complete)", got, len(cells)-2)
-	}
-	for i := range res {
-		if res[i].Run.String() != ref[i].Run.String() {
-			t.Errorf("cell %d (%s): resumed result differs from reference:\n%s\nvs\n%s",
-				i, cells[i].Key, res[i].Run, ref[i].Run)
-		}
-	}
+			var ran int32
+			resumed := testCells(t)
+			for i := range resumed {
+				resumed[i].hook = func() { atomic.AddInt32(&ran, 1) }
+			}
+			res, err := New(Options{Parallelism: 1, CheckpointDir: dir, Resume: true}).Run(ctx, resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := atomic.LoadInt32(&ran); got != int32(len(cells)-2) {
+				t.Fatalf("resumed sweep simulated %d cells, want %d (two were journal-complete)", got, len(cells)-2)
+			}
+			for i := range res {
+				if res[i].Run.String() != ref[i].Run.String() {
+					t.Errorf("cell %d (%s): resumed result differs from reference:\n%s\nvs\n%s",
+						i, cells[i].Key, res[i].Run, ref[i].Run)
+				}
+			}
 
-	// A second resume replays everything from the journal: nothing runs.
-	atomic.StoreInt32(&ran, 0)
-	res, err = New(Options{Parallelism: 1, CheckpointDir: dir, Resume: true}).Run(ctx, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&ran); got != 0 {
-		t.Fatalf("fully journaled sweep still simulated %d cells", got)
-	}
-	for i := range res {
-		if res[i].Run.String() != ref[i].Run.String() {
-			t.Errorf("cell %d: journal replay differs from reference", i)
-		}
+			// A second resume replays everything from the journal: nothing runs.
+			atomic.StoreInt32(&ran, 0)
+			res, err = New(Options{Parallelism: 1, CheckpointDir: dir, Resume: true}).Run(ctx, resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := atomic.LoadInt32(&ran); got != 0 {
+				t.Fatalf("fully journaled sweep still simulated %d cells", got)
+			}
+			for i := range res {
+				if res[i].Run.String() != ref[i].Run.String() {
+					t.Errorf("cell %d: journal replay differs from reference", i)
+				}
+			}
+			data, _ = os.ReadFile(jpath)
+			if n := bytes.Count(data, []byte("\n")); n != len(cells) {
+				t.Fatalf("journal has %d lines for %d cells", n, len(cells))
+			}
+		})
 	}
 }
 

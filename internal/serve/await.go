@@ -10,8 +10,11 @@ import (
 )
 
 // Await blocks until the job reaches a terminal state and returns its
-// result (or its original error). It prefers the Watch stream; when a
-// transport cannot stream it degrades to Status polling. A ctx that
+// result (or its original error). It follows the Watch stream; when the
+// stream breaks — Watch fails, or the stream closes without a terminal
+// event, as a reset connection does — Status decides: a terminal job's
+// result is collected, a live job is watched again, and a job the
+// service no longer knows ends the wait with ErrUnknownJob. A ctx that
 // expires mid-wait requests Cancel on the job — the caller walking
 // away should not leave work running — and reports the job's own
 // terminal error when the cancellation lands, or ctx's error when the
@@ -20,29 +23,56 @@ import (
 // onEvent, when non-nil, observes every watch event before Await acts
 // on it (progress bars, trace taps).
 func Await(ctx context.Context, svc Service, id JobID, onEvent func(WatchEvent)) (*JobResult, error) {
-	events, err := svc.Watch(ctx, id)
-	if err != nil {
-		return nil, err
+	for {
+		if events, err := svc.Watch(ctx, id); err == nil {
+			if done, res, err := follow(ctx, svc, id, events, onEvent); done {
+				return res, err
+			}
+		}
+		st, err := svc.Status(ctx, id)
+		switch {
+		case ctx.Err() != nil:
+			return cancelAndCollect(ctx, svc, id)
+		case err != nil:
+			return nil, err
+		case st.State.Terminal():
+			return svc.Result(context.WithoutCancel(ctx), id)
+		}
+		// The job runs on; pause before re-watching so a service whose
+		// stream keeps failing is polled, not hammered.
+		if !sleepCtx(ctx, rewatchPause) {
+			return cancelAndCollect(ctx, svc, id)
+		}
 	}
+}
+
+// rewatchPause spaces the re-watches of a job whose event stream
+// broke.
+const rewatchPause = 50 * time.Millisecond
+
+// follow drains one Watch stream. done false means the stream ended
+// without a terminal event and Await must ask Status where the job is.
+func follow(ctx context.Context, svc Service, id JobID, events <-chan WatchEvent, onEvent func(WatchEvent)) (done bool, res *JobResult, err error) {
 	for {
 		select {
 		case ev, ok := <-events:
 			if !ok {
-				// Stream closed: the job is terminal, or our ctx died and
-				// Watch unsubscribed us mid-run.
 				if ctx.Err() != nil {
-					return cancelAndCollect(ctx, svc, id)
+					res, err = cancelAndCollect(ctx, svc, id)
+					return true, res, err
 				}
-				return svc.Result(context.WithoutCancel(ctx), id)
+				return false, nil, nil
 			}
 			if onEvent != nil {
 				onEvent(ev)
 			}
 			if ev.Terminal() {
-				return svc.Result(context.WithoutCancel(ctx), id)
+				res, err = svc.Result(context.WithoutCancel(ctx), id)
+				return true, res, err
 			}
 		case <-ctx.Done():
-			return cancelAndCollect(ctx, svc, id)
+			res, err = cancelAndCollect(ctx, svc, id)
+			return true, res, err
 		}
 	}
 }
@@ -51,11 +81,10 @@ func Await(ctx context.Context, svc Service, id JobID, onEvent func(WatchEvent))
 // service restart: if the job vanishes mid-wait (ErrUnknownJob — a
 // daemon restarted and lost its in-memory job store), the identical
 // request is resubmitted and awaited again. With a retry-armed client
-// the submission carries an idempotency key, and on a fabric
-// coordinator with a journal the resubmitted job attaches to the
-// replayed board state — completed cells are not re-run. Bounded at a
-// few resubmissions so a crash-looping daemon fails loudly instead of
-// forever.
+// the submission carries an idempotency key, and on a daemon with a
+// checkpoint root the resubmitted job lands on the same cell journal —
+// completed cells are not re-run. Bounded at a few resubmissions so a
+// crash-looping daemon fails loudly instead of forever.
 func SubmitAndAwait(ctx context.Context, svc Service, req JobRequest, onEvent func(WatchEvent)) (*JobResult, error) {
 	const resubmits = 4
 	for attempt := 0; ; attempt++ {

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -223,126 +223,59 @@ func TestSubmitAndAwaitResubmits(t *testing.T) {
 	}
 }
 
-// Worker poll jitter is reproducible and bounded to [poll/2, 3*poll/2].
-func TestPollJitterDeterministicBounds(t *testing.T) {
-	const poll = 250 * time.Millisecond
-	var distinct int
-	for n := uint64(0); n < 64; n++ {
-		d := pollJitter("w1", n, poll)
-		if d < poll/2 || d > poll*3/2 {
-			t.Fatalf("pollJitter(w1, %d) = %v outside [%v, %v]", n, d, poll/2, poll*3/2)
-		}
-		if d != pollJitter("w1", n, poll) {
-			t.Fatalf("pollJitter(w1, %d) not deterministic", n)
-		}
-		if d != pollJitter("w2", n, poll) {
-			distinct++
-		}
-	}
-	if distinct == 0 {
-		t.Fatal("two workers share an identical poll schedule — no decorrelation")
-	}
-}
-
-// The heartbeat route round-trips: a held lease answers true, a
-// vanished one false.
-func TestHeartbeatOverHTTP(t *testing.T) {
-	svc := NewLocal(LocalConfig{Fabric: true, FabricChunk: 2})
-	defer svc.Close()
-	srv := httptest.NewServer(NewHandler(svc))
-	defer srv.Close()
-	client := NewClient(srv.URL, nil)
+// An events stream that breaks mid-job — first a failed GET, then a
+// stream that ends without a terminal event, as a reset connection
+// does — must not end the wait: Await asks Status, watches again, and
+// returns the same result a local run computes.
+func TestAwaitSurvivesBrokenEventStream(t *testing.T) {
 	ctx := context.Background()
-
-	if _, err := client.Submit(ctx, fabricReq()); err != nil {
-		t.Fatal(err)
-	}
-	var lease *WorkHeartbeat
-	for lease == nil {
-		l, err := client.LeaseWork(ctx, "w1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l != nil {
-			lease = &WorkHeartbeat{Job: l.Job, Lease: l.ID, Worker: "w1"}
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if held, err := client.HeartbeatWork(ctx, *lease); err != nil || !held {
-		t.Fatalf("heartbeat on held lease = %v, %v", held, err)
-	}
-	if held, err := client.HeartbeatWork(ctx, WorkHeartbeat{Job: lease.Job, Lease: "l999999", Worker: "w1"}); err != nil || held {
-		t.Fatalf("heartbeat on unknown lease = %v, %v", held, err)
-	}
-}
-
-// The full coordinator-crash story in process: a fabric job is
-// half-done when the coordinator dies (abandoned, never Closed — a
-// SIGKILL runs no cleanup); a fresh coordinator on the same journal
-// accepts the resubmission, hands out only the unfinished ranges, and
-// the assembled result is byte-identical to a local run.
-func TestFabricCoordinatorRestartResume(t *testing.T) {
-	ctx := context.Background()
-	ref := localReq()
+	ref := expReq()
 	want, err := Execute(ctx, &ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	journal := filepath.Join(t.TempDir(), "board.journal")
-	svc1 := NewLocal(LocalConfig{Fabric: true, FabricChunk: 2, FabricJournal: journal})
-	if _, err := svc1.Submit(ctx, fabricReq()); err != nil {
-		t.Fatal(err)
-	}
-	// One worker completes exactly one lease, then the coordinator "dies".
-	var first *WorkHeartbeat
-	for first == nil {
-		l, err := svc1.LeaseWork(ctx, "w1")
-		if err != nil {
-			t.Fatal(err)
+	svc := NewLocal(LocalConfig{})
+	defer svc.Close()
+	release := make(chan struct{})
+	var unblock sync.Once
+	defer unblock.Do(func() { close(release) }) // a failed wait must not wedge Close
+	var watches atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/events") {
+			NewHandler(svc).ServeHTTP(w, r)
+			return
 		}
-		if l == nil {
-			time.Sleep(5 * time.Millisecond)
-			continue
+		switch watches.Add(1) {
+		case 1:
+			http.Error(w, "connection reset", http.StatusBadGateway)
+		case 2:
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprint(w, "data: {\"type\":\"state\",\"state\":\"running\"}\n\n")
+		default:
+			unblock.Do(func() { close(release) })
+			NewHandler(svc).ServeHTTP(w, r)
 		}
-		outs := executeLeasedRange(ctx, l, WorkerOptions{Name: "w1"})
-		if err := svc1.CompleteWork(ctx, WorkCompletion{Job: l.Job, Lease: l.ID, Worker: "w1", Outcomes: outs}); err != nil {
-			t.Fatal(err)
-		}
-		first = &WorkHeartbeat{Job: l.Job, Lease: l.ID}
-	}
+	}))
+	defer srv.Close()
 
-	svc2 := NewLocal(LocalConfig{Fabric: true, FabricChunk: 2, FabricJournal: journal})
-	defer svc2.Close()
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	var leasedLo atomic.Int64
-	leasedLo.Store(-1)
-	go func() {
-		for wctx.Err() == nil {
-			l, err := svc2.LeaseWork(wctx, "w2")
-			if err != nil || l == nil {
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
-			if int64(l.Lo) < leasedLo.Load() || leasedLo.Load() < 0 {
-				leasedLo.Store(int64(l.Lo))
-			}
-			outs := executeLeasedRange(wctx, l, WorkerOptions{Name: "w2"})
-			_ = svc2.CompleteWork(wctx, WorkCompletion{Job: l.Job, Lease: l.ID, Worker: "w2", Outcomes: outs})
-		}
-	}()
-
-	got, err := SubmitAndAwait(ctx, svc2, fabricReq(), nil)
+	// The job holds at its first progress report until the stream has
+	// broken twice, so both breaks land while it runs.
+	req := expReq()
+	var once sync.Once
+	req.Opts.Progress = func(int, int) { once.Do(func() { <-release }) }
+	id, err := svc.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Tables) != 1 || got.Tables[0].Markdown() != want.Tables[0].Markdown() {
-		t.Fatalf("post-restart fabric table differs from local:\n--- local ---\n%s\n--- fabric ---\n%s",
-			want.Tables[0].Markdown(), got.Tables[0].Markdown())
+	got, err := Await(ctx, NewClient(srv.URL, srv.Client()), id, nil)
+	if err != nil {
+		t.Fatalf("Await across a broken event stream: %v", err)
 	}
-	if lo := leasedLo.Load(); lo < 2 {
-		t.Fatalf("restarted coordinator re-leased range starting at %d — replayed chunk [0,2) was re-run", lo)
+	if got.Tables[0].Markdown() != want.Tables[0].Markdown() {
+		t.Fatalf("result differs from local run:\n%s\nvs\n%s", got.Tables[0].Markdown(), want.Tables[0].Markdown())
+	}
+	if n := watches.Load(); n != 3 {
+		t.Fatalf("Await opened the events stream %d times, want 3", n)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"orderlight/internal/olerrors"
-	"orderlight/internal/runner"
 )
 
 // Client speaks the /v1 JSON protocol to a remote daemon. It
@@ -272,34 +271,6 @@ func (c *Client) Watch(ctx context.Context, id JobID) (<-chan WatchEvent, error)
 	return ch, nil
 }
 
-// LeaseWork implements WorkProvider over HTTP: poll the daemon's
-// fabric coordinator for a cell range. (nil, nil) means no work is
-// pending right now — poll again after a short sleep.
-func (c *Client) LeaseWork(ctx context.Context, worker string) (*runner.Lease, error) {
-	var l runner.Lease
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/work/lease", WorkLeaseRequest{Worker: worker}, &l); err != nil {
-		return nil, err
-	}
-	if l.Job == "" {
-		return nil, nil // 204: nothing leased
-	}
-	return &l, nil
-}
-
-// CompleteWork implements WorkProvider over HTTP.
-func (c *Client) CompleteWork(ctx context.Context, comp WorkCompletion) error {
-	return c.doJSON(ctx, http.MethodPost, "/v1/work/complete", &comp, nil)
-}
-
-// HeartbeatWork implements WorkProvider over HTTP.
-func (c *Client) HeartbeatWork(ctx context.Context, hb WorkHeartbeat) (bool, error) {
-	var reply WorkHeartbeatReply
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/work/heartbeat", &hb, &reply); err != nil {
-		return false, err
-	}
-	return reply.Held, nil
-}
-
 // Healthz fetches the daemon's health snapshot. It doubles as the
 // liveness probe olserve's -healthcheck mode uses.
 func (c *Client) Healthz(ctx context.Context) (HealthInfo, error) {
@@ -313,4 +284,16 @@ func (c *Client) ServerVersion(ctx context.Context) (VersionInfo, error) {
 	var v VersionInfo
 	err := c.doJSON(ctx, http.MethodGet, "/v1/version", nil, &v)
 	return v, err
+}
+
+// sleepCtx sleeps d or until ctx cancels; false means canceled.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
 }

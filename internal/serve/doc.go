@@ -25,20 +25,15 @@
 // not pure functions of the request (manifests, trace sinks, fault
 // campaigns) are never memoized; Health reports hit/miss counters.
 //
-// # Sweep fabric
+// # Crash and restart
 //
-// A Local built with LocalConfig.Fabric accepts jobs that set
-// RunOpts.Fabric and distributes their cells instead of simulating
-// them: the cells go onto a runner.Board as chunked leases, and
-// RunWorker loops — typically `olserve -worker` processes pointed at
-// the daemon, speaking the /v1/work/lease and /v1/work/complete
-// endpoints — drain the board. Workers re-derive the cell grid from
-// the serialized request (cell enumeration is deterministic, so cells
-// never cross the wire), simulate locally, and report outcomes; the
-// coordinator reassembles them in declaration order, which keeps
-// fabric output byte-identical to a local run. A worker killed
-// mid-lease is harmless: the lease expires and re-issues, and the
-// worker's own cell journal replays anything it had finished.
+// A Local built with LocalConfig.CheckpointRoot gives every cycle-engine
+// job a cell journal keyed by the request's content hash. A daemon that
+// is drained or killed outright loses its in-memory job store but not
+// those journals: SubmitAndAwait resubmits the identical request when
+// the job vanishes (ErrUnknownJob), the restarted daemon lands it on
+// the same journal, and only the unfinished cells simulate. The output
+// stays byte-identical to a run that was never interrupted.
 //
 // The Manager-interface + injectable-fake idiom follows Navarch's
 // pkg/gpu: the Service interface is small enough to fake completely,

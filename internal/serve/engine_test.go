@@ -55,9 +55,10 @@ func TestValidateEngine(t *testing.T) {
 }
 
 // TestSubmitRejectsRemovedEngine pins the wire side of removed options:
-// naming the parallel engine, or sending its old shard-count field or
-// the mid-cell checkpoint fields (halt_after, checkpoint_every), is a
-// 400 invalid-spec at POST /v1/jobs, never a run with the field ignored.
+// naming the parallel engine, or sending its old shard-count field, the
+// mid-cell checkpoint fields (halt_after, checkpoint_every) or the sweep
+// fabric's fabric flag, is a 400 invalid-spec at POST /v1/jobs, never a
+// run with the field ignored. The fabric's /v1/work routes are gone.
 func TestSubmitRejectsRemovedEngine(t *testing.T) {
 	_, client := newFakeServer(t)
 	cases := []struct {
@@ -67,6 +68,7 @@ func TestSubmitRejectsRemovedEngine(t *testing.T) {
 		{"shards", `{"kind":"kernel","kernel":"add","opts":{"shards":4}}`, `unknown field "shards"`},
 		{"halt_after", `{"kind":"kernel","kernel":"add","opts":{"halt_after":400}}`, `unknown field "halt_after"`},
 		{"checkpoint_every", `{"kind":"experiment","experiment":"fig5","opts":{"checkpoint_dir":"ck","checkpoint_every":1024}}`, `unknown field "checkpoint_every"`},
+		{"fabric", `{"kind":"experiment","experiment":"fig5","opts":{"fabric":true}}`, `unknown field "fabric"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,5 +88,13 @@ func TestSubmitRejectsRemovedEngine(t *testing.T) {
 				t.Errorf("message %q does not contain %q", eb.Error.Message, tc.want)
 			}
 		})
+	}
+	resp, err := http.Post(client.base+"/v1/work/lease", "application/json", strings.NewReader(`{"worker":"w1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/work/lease = %d, want 404 (route removed)", resp.StatusCode)
 	}
 }

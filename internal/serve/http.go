@@ -36,9 +36,6 @@ type Drainer interface {
 //	GET    /v1/jobs/{id}/result result (409 until terminal)
 //	DELETE /v1/jobs/{id}        cancel (202 + status)
 //	GET    /v1/jobs/{id}/events lifecycle stream (server-sent events)
-//	POST   /v1/work/lease       fabric worker leases a cell range (204 when idle)
-//	POST   /v1/work/complete    fabric worker reports a range's outcomes
-//	POST   /v1/work/heartbeat   fabric worker extends a held lease mid-execution
 //	GET    /healthz             liveness + queue load
 //	GET    /v1/version          protocol + toolchain versions
 //
@@ -55,9 +52,6 @@ func NewHandler(svc Service) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", h.result)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", h.cancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", h.events)
-	mux.HandleFunc("POST /v1/work/lease", h.workLease)
-	mux.HandleFunc("POST /v1/work/complete", h.workComplete)
-	mux.HandleFunc("POST /v1/work/heartbeat", h.workHeartbeat)
 	mux.HandleFunc("GET /healthz", h.healthz)
 	mux.HandleFunc("GET /v1/version", h.version)
 	return mux
@@ -187,80 +181,6 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
-}
-
-// workProvider type-asserts the fabric coordinator surface; services
-// without one (a non-fabric daemon, the Fake) answer invalid-spec.
-func (h *handler) workProvider(w http.ResponseWriter) (WorkProvider, bool) {
-	wp, ok := h.svc.(WorkProvider)
-	if !ok {
-		writeError(w, fmt.Errorf("serve: %w: this service has no fabric coordinator", olerrors.ErrInvalidSpec))
-		return nil, false
-	}
-	return wp, true
-}
-
-// workLease answers a fabric worker's poll: 200 with a lease, or 204
-// when nothing is pending right now.
-func (h *handler) workLease(w http.ResponseWriter, r *http.Request) {
-	wp, ok := h.workProvider(w)
-	if !ok {
-		return
-	}
-	var req WorkLeaseRequest
-	_ = json.NewDecoder(r.Body).Decode(&req) // empty body = anonymous worker
-	l, err := wp.LeaseWork(r.Context(), req.Worker)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if l == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, l)
-}
-
-// workComplete records a lease's outcomes; 204 on success.
-func (h *handler) workComplete(w http.ResponseWriter, r *http.Request) {
-	wp, ok := h.workProvider(w)
-	if !ok {
-		return
-	}
-	var comp WorkCompletion
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&comp); err != nil {
-		writeError(w, fmt.Errorf("serve: %w: malformed work completion: %v", olerrors.ErrInvalidSpec, err))
-		return
-	}
-	if err := wp.CompleteWork(r.Context(), comp); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// workHeartbeat extends a held lease; the reply says whether the
-// lease is still held.
-func (h *handler) workHeartbeat(w http.ResponseWriter, r *http.Request) {
-	wp, ok := h.workProvider(w)
-	if !ok {
-		return
-	}
-	var hb WorkHeartbeat
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&hb); err != nil {
-		writeError(w, fmt.Errorf("serve: %w: malformed work heartbeat: %v", olerrors.ErrInvalidSpec, err))
-		return
-	}
-	held, err := wp.HeartbeatWork(r.Context(), hb)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, WorkHeartbeatReply{Held: held})
 }
 
 func (h *handler) healthz(w http.ResponseWriter, _ *http.Request) {

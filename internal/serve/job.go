@@ -201,12 +201,6 @@ type RunOpts struct {
 	// WithResultCache / the CLIs' -cache-dir). Cached and recomputed
 	// results are byte-identical.
 	CacheDir string `json:"cache_dir,omitempty"`
-	// Fabric runs a multi-cell job on the distributed sweep fabric: the
-	// daemon coordinates, preemptible workers (olserve -worker) lease
-	// cell ranges over /v1/work, and declaration-order reassembly keeps
-	// the output byte-identical to a local run. Daemon-side only — the
-	// serving Local must have fabric enabled.
-	Fabric bool `json:"fabric,omitempty"`
 
 	// In-process-only fields; see the facade options of the same names.
 	Progress func(done, total int) `json:"-"`
@@ -249,7 +243,7 @@ func (o *RunOpts) Validate() error {
 	}
 	if o.Engine == "twin" {
 		// The twin answers from a fitted model — it has no machine to
-		// journal, trace, sample, fault or distribute.
+		// journal, trace, sample or fault.
 		switch {
 		case o.CheckpointDir != "" || o.Resume:
 			return fmt.Errorf("serve: %w: checkpoints journal cycle-engine progress; the twin engine has none (drop WithCheckpointDir/WithResume)", olerrors.ErrInvalidSpec)
@@ -257,8 +251,6 @@ func (o *RunOpts) Validate() error {
 			return fmt.Errorf("serve: %w: the twin engine simulates nothing and emits no event feed (drop WithTraceSink/stream_trace)", olerrors.ErrInvalidSpec)
 		case o.Sampler != nil:
 			return fmt.Errorf("serve: %w: the twin engine simulates nothing and has no counters to sample (drop WithSampler)", olerrors.ErrInvalidSpec)
-		case o.Fabric:
-			return fmt.Errorf("serve: %w: twin answers are microseconds of local math; the sweep fabric would only add transport (drop fabric)", olerrors.ErrInvalidSpec)
 		case o.Fault.Active():
 			return fmt.Errorf("serve: %w: fault injection attacks a real machine; the twin engine has none (run the fault plan on a cycle engine)", olerrors.ErrInvalidSpec)
 		}
@@ -362,16 +354,6 @@ func (r *JobRequest) Validate() error {
 			return fmt.Errorf("serve: %w: WithSampler attaches to exactly one run; %s jobs fan out many cells", olerrors.ErrInvalidSpec, r.Kind)
 		case r.Opts.Fault.Active():
 			return fmt.Errorf("serve: %w: WithFaultPlan applies to exactly one run; use RunFaultedKernelContext or a fault-campaign job", olerrors.ErrInvalidSpec)
-		}
-	}
-	if r.Opts.Fabric {
-		switch {
-		case !r.MultiCell():
-			return fmt.Errorf("serve: %w: fabric distributes cell grids; %s jobs run one cell — submit it directly", olerrors.ErrInvalidSpec, r.Kind)
-		case r.Opts.Manifest:
-			return fmt.Errorf("serve: %w: manifests record per-cell wall times the coordinator cannot observe; drop manifest or fabric", olerrors.ErrInvalidSpec)
-		case r.Opts.CheckpointDir != "" || r.Opts.Resume:
-			return fmt.Errorf("serve: %w: fabric durability lives on the workers (olserve -worker -checkpoint-dir); drop the job-level checkpoint options", olerrors.ErrInvalidSpec)
 		}
 	}
 	return nil

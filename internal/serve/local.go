@@ -19,7 +19,6 @@ import (
 	"orderlight/internal/obs"
 	"orderlight/internal/olerrors"
 	"orderlight/internal/rcache"
-	"orderlight/internal/runner"
 	"orderlight/internal/stats"
 	"orderlight/internal/twin"
 )
@@ -61,40 +60,14 @@ type LocalConfig struct {
 	// fails twin submissions — cycle-engine jobs are unaffected.
 	Calibration string
 
-	// Fabric enables the distributed sweep coordinator: multi-cell
-	// jobs submitted with the fabric option are posted on a work board
-	// and executed by olserve -worker processes leasing cell ranges
-	// over /v1/work. Without it, fabric submissions are rejected at
-	// admission.
-	Fabric bool
-
-	// LeaseTTL is how long a fabric worker holds an uncompleted lease
-	// before its range is re-issued; <= 0 means runner.DefaultLeaseTTL.
-	LeaseTTL time.Duration
-
-	// FabricChunk is how many cells one lease spans; <= 0 means
-	// runner.DefaultChunk.
-	FabricChunk int
-
-	// FabricJournal, when set (and Fabric is on), journals every board
-	// mutation to this file so a killed coordinator restarts with its
-	// jobs' completions intact: workers re-lease only unfinished ranges
-	// and a resubmitted identical request attaches to the replayed job.
-	// An unreplayable journal fails fabric submissions, not startup.
-	FabricJournal string
-
 	// CacheBytes caps the result cache's on-disk footprint; past it the
 	// least recently used blobs are evicted. <= 0 means uncapped.
 	CacheBytes int64
 
-	// FS is the filesystem the fabric journal and result cache write
-	// through; nil means the real one (the chaos harness injects its
-	// sick disk here).
+	// FS is the filesystem the result cache and every job's cell
+	// journal write through, unless a job brings its own; nil means the
+	// real one (the chaos harness injects its sick disk here).
 	FS chaos.FS
-
-	// Logf receives operational notices (journal replay and degrade,
-	// flapping workers); nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // job is the service-side record of one submission.
@@ -142,12 +115,6 @@ type Local struct {
 	twin    *twin.Predictor
 	twinErr error
 
-	// board is the fabric coordinator's work ledger (nil without
-	// cfg.Fabric); boardErr records a journal replay failure, surfaced
-	// on fabric submissions.
-	board    *runner.Board
-	boardErr error
-
 	mu       sync.Mutex
 	seq      int
 	jobs     map[JobID]*job
@@ -184,21 +151,6 @@ func NewLocal(cfg LocalConfig) *Local {
 			s.twinErr = fmt.Errorf("serve: %w: calibration %q: %v", olerrors.ErrInvalidSpec, cfg.Calibration, s.twinErr)
 		}
 	}
-	if cfg.Fabric {
-		if cfg.FabricJournal != "" {
-			s.board, s.boardErr = runner.NewJournaledBoard(cfg.LeaseTTL, cfg.FabricChunk, cfg.FabricJournal, cfg.FS, cfg.Logf)
-			if s.boardErr != nil {
-				s.boardErr = fmt.Errorf("serve: %w: fabric journal %q: %v", olerrors.ErrInvalidSpec, cfg.FabricJournal, s.boardErr)
-			}
-		} else {
-			s.board = runner.NewBoard(cfg.LeaseTTL, cfg.FabricChunk)
-		}
-		if s.board != nil {
-			// Heartbeat-driven liveness: a silent worker loses its leases
-			// after half the TTL instead of the full TTL.
-			s.board.EnableHeartbeats(0)
-		}
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -220,12 +172,6 @@ func (s *Local) Submit(ctx context.Context, req JobRequest) (JobID, error) {
 	}
 	if s.twinErr != nil && req.Opts.Engine == "twin" {
 		return "", s.twinErr
-	}
-	if req.Opts.Fabric && s.board == nil {
-		if s.boardErr != nil {
-			return "", s.boardErr
-		}
-		return "", fmt.Errorf("serve: %w: this service has no fabric coordinator (start olserve with -fabric)", olerrors.ErrInvalidSpec)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -250,10 +196,8 @@ func (s *Local) Submit(ctx context.Context, req JobRequest) (JobID, error) {
 		return "", fmt.Errorf("serve: %w: tenant %q already has %d job(s) in flight",
 			ErrQuotaExceeded, tenantName(req.Tenant), s.cfg.PerTenant)
 	}
-	if s.cfg.CheckpointRoot != "" && req.Opts.CheckpointDir == "" && !req.Opts.Fabric && req.Opts.Engine != "twin" {
-		// (Fabric jobs excluded: their durability lives in the workers'
-		// journals, and fabric+checkpoint is an invalid combination.
-		// Twin jobs likewise: they have no cycle-engine progress to
+	if s.cfg.CheckpointRoot != "" && req.Opts.CheckpointDir == "" && req.Opts.Engine != "twin" {
+		// (Twin jobs excluded: they have no cycle-engine progress to
 		// journal, and twin+checkpoint is rejected at validation.)
 		// Key the directory by request content, not job ID: the same
 		// request resubmitted after preemption (or a daemon restart)
@@ -394,14 +338,13 @@ func (s *Local) runJob(j *job) {
 	if req.Opts.Engine == "twin" && req.Opts.TwinPredictor == nil && req.Opts.Calibration == "" {
 		req.Opts.TwinPredictor = s.twin
 	}
-
-	var res *JobResult
-	var err error
-	if req.Opts.Fabric {
-		res, err = s.executeFabric(ctx, j.id, &req)
-	} else {
-		res, err = Execute(ctx, &req)
+	// The daemon's filesystem (a chaos sick disk under olserve -chaos)
+	// also carries the job's cell journal.
+	if req.Opts.FS == nil {
+		req.Opts.FS = s.cfg.FS
 	}
+
+	res, err := Execute(ctx, &req)
 	if err == nil && memoKey != "" {
 		s.memoPut(memoKey, res)
 	}
@@ -409,70 +352,6 @@ func (s *Local) runJob(j *job) {
 	s.mu.Lock()
 	s.finishLocked(j, res, err)
 	s.mu.Unlock()
-}
-
-// executeFabric runs one multi-cell job on the sweep fabric: post the
-// serialized request on the board, wait for workers to complete every
-// cell range, rebuild full results in declaration order, and assemble
-// exactly as the local path would — byte-identical output.
-func (s *Local) executeFabric(ctx context.Context, id JobID, req *JobRequest) (*JobResult, error) {
-	plan, err := planFabric(req)
-	if err != nil {
-		return nil, err
-	}
-	wire, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encode fabric request: %w", err)
-	}
-	key, err := s.board.Post(wire, len(plan.cells), req.Opts.Progress)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := s.board.Wait(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	eng := runner.New(runner.Options{DisableKernelCache: req.Opts.NoKernelCache})
-	res := make([]runner.Result, len(outs))
-	for i := range outs {
-		r, err := eng.ResultFromOutcome(&plan.cells[i], outs[i])
-		if err != nil {
-			return nil, err
-		}
-		res[i] = r
-	}
-	return plan.assemble(res)
-}
-
-// LeaseWork implements WorkProvider for fabric-enabled services.
-func (s *Local) LeaseWork(_ context.Context, worker string) (*runner.Lease, error) {
-	if s.board == nil {
-		return nil, fmt.Errorf("serve: %w: this service has no fabric coordinator", olerrors.ErrInvalidSpec)
-	}
-	return s.board.Lease(worker), nil
-}
-
-// CompleteWork implements WorkProvider. Completions for jobs the
-// board no longer tracks (canceled, collected) report ErrUnknownJob;
-// workers treat that as routine and keep polling.
-func (s *Local) CompleteWork(_ context.Context, comp WorkCompletion) error {
-	if s.board == nil {
-		return fmt.Errorf("serve: %w: this service has no fabric coordinator", olerrors.ErrInvalidSpec)
-	}
-	if err := s.board.Complete(comp.Job, comp.Lease, comp.Worker, comp.Outcomes); err != nil {
-		return fmt.Errorf("serve: %w: %v", ErrUnknownJob, err)
-	}
-	return nil
-}
-
-// HeartbeatWork implements WorkProvider: a worker mid-lease proves it
-// is alive, extending the lease. false means the lease is no longer
-// held (expired and re-issued, or the job finished).
-func (s *Local) HeartbeatWork(_ context.Context, hb WorkHeartbeat) (bool, error) {
-	if s.board == nil {
-		return false, fmt.Errorf("serve: %w: this service has no fabric coordinator", olerrors.ErrInvalidSpec)
-	}
-	return s.board.Heartbeat(hb.Worker, hb.Job, hb.Lease), nil
 }
 
 // jobMemoizable excludes jobs whose results the cache must not serve:
@@ -494,10 +373,9 @@ func jobMemoizable(req *JobRequest) bool {
 
 // jobCacheKey is the whole-job cache key: the canonical JSON of the
 // request with everything scrubbed that cannot change the result —
-// tenant, scheduling (parallelism, retries, timeouts),
-// durability (checkpoints), transport (fabric) and cache plumbing
-// itself. The engine name stays in the key, mirroring the per-cell
-// discipline documented in internal/rcache.
+// tenant, scheduling (parallelism, retries, timeouts), durability
+// (checkpoints) and cache plumbing itself. The engine name stays in the
+// key, mirroring the per-cell discipline documented in internal/rcache.
 func jobCacheKey(req *JobRequest) string {
 	r := *req
 	r.Tenant = ""
@@ -506,7 +384,7 @@ func jobCacheKey(req *JobRequest) string {
 	o.Parallelism = 0
 	o.CheckpointDir, o.Resume = "", false
 	o.Retries, o.CellTimeout = 0, 0
-	o.CacheDir, o.Fabric = "", false
+	o.CacheDir = ""
 	o.Progress, o.Sink, o.Sampler, o.Cache, o.TwinPredictor = nil, nil, nil, nil, nil
 	r.Opts = o
 	b, err := json.Marshal(&r)
@@ -737,9 +615,6 @@ type HealthInfo struct {
 	Running    int    `json:"running"`
 	Workers    int    `json:"workers"`
 	QueueDepth int    `json:"queue_depth"`
-	// Fabric reports whether this daemon coordinates a sweep fabric
-	// (accepts fabric jobs and serves /v1/work leases).
-	Fabric bool `json:"fabric,omitempty"`
 	// CacheHits/CacheMisses are the shared result cache's counters;
 	// both zero when the daemon runs uncached.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
@@ -747,16 +622,13 @@ type HealthInfo struct {
 	// CacheDegraded reports the result cache has tripped its disk
 	// breaker and now serves memory-only (see internal/rcache).
 	CacheDegraded bool `json:"cache_degraded,omitempty"`
-	// FabricWorkers is the coordinator's per-worker liveness view,
-	// flapping workers first. Empty on non-fabric daemons.
-	FabricWorkers []runner.WorkerStatus `json:"fabric_workers,omitempty"`
 }
 
 // Health reports the service's current load.
 func (s *Local) Health() HealthInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := HealthInfo{Status: "ok", Workers: s.cfg.Workers, QueueDepth: s.cfg.QueueDepth, Fabric: s.board != nil}
+	h := HealthInfo{Status: "ok", Workers: s.cfg.Workers, QueueDepth: s.cfg.QueueDepth}
 	if s.draining {
 		h.Status = "draining"
 	}
@@ -764,9 +636,6 @@ func (s *Local) Health() HealthInfo {
 		cs := s.cache.Stats()
 		h.CacheHits, h.CacheMisses = cs.Hits, cs.Misses
 		h.CacheDegraded = cs.Degraded
-	}
-	if s.board != nil {
-		h.FabricWorkers = s.board.Workers()
 	}
 	for _, j := range s.jobs {
 		switch j.state {

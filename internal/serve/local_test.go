@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"orderlight/internal/chaos"
 	"orderlight/internal/config"
 	"orderlight/internal/olerrors"
 )
@@ -366,4 +369,42 @@ func TestLocalForget(t *testing.T) {
 	if _, err := svc.Status(ctx, id); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("Status after Forget = %v, want ErrUnknownJob", err)
 	}
+}
+
+// recordingFS notes every file a run opens through it.
+type recordingFS struct {
+	chaos.FS
+	mu     sync.Mutex
+	opened []string
+}
+
+func (r *recordingFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	r.mu.Lock()
+	r.opened = append(r.opened, name)
+	r.mu.Unlock()
+	return r.FS.OpenFile(name, flag, perm)
+}
+
+// The daemon's filesystem (olserve -chaos fs=) carries every job's cell
+// journal, not only the result cache.
+func TestLocalJobJournalUsesServiceFS(t *testing.T) {
+	fsys := &recordingFS{FS: chaos.OS}
+	svc := NewLocal(LocalConfig{CheckpointRoot: t.TempDir(), FS: fsys})
+	defer svc.Close()
+	ctx := context.Background()
+	id, err := svc.Submit(ctx, kernelReq("add"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Await(ctx, svc, id, nil); err != nil {
+		t.Fatal(err)
+	}
+	fsys.mu.Lock()
+	defer fsys.mu.Unlock()
+	for _, name := range fsys.opened {
+		if filepath.Base(name) == "journal.jsonl" {
+			return
+		}
+	}
+	t.Fatalf("job journal not opened through the service filesystem (opened %v)", fsys.opened)
 }

@@ -114,7 +114,6 @@ func TestValidateTwinOptions(t *testing.T) {
 		{"twin with resume", RunOpts{Engine: "twin", CheckpointDir: "ck", Resume: true}, "checkpoints journal cycle-engine progress"},
 		{"twin with stream-trace", RunOpts{Engine: "twin", StreamTrace: true}, "no event feed"},
 		{"twin with sampler", RunOpts{Engine: "twin", Sampler: stats.NewSampler(100)}, "no counters to sample"},
-		{"twin with fabric", RunOpts{Engine: "twin", Fabric: true}, "microseconds of local math"},
 		{"calibration without twin", RunOpts{Calibration: "cal.olcal"}, "needs the twin engine"},
 		{"calibration on parallel", RunOpts{Engine: "parallel", Calibration: "cal.olcal"}, `unknown engine "parallel" (want skip|dense|twin)`},
 		{"escalate without twin", RunOpts{Escalate: true}, "needs the twin engine"},

@@ -20,13 +20,9 @@ type Service = serve.Service
 type LocalService = serve.Local
 
 // LocalServiceConfig tunes a LocalService (queue depth, per-tenant
-// quota, worker count, checkpoint root for preemptible jobs, result
-// cache directory, and the distributed sweep fabric).
+// quota, worker count, checkpoint root for preemptible jobs and result
+// cache directory).
 type LocalServiceConfig = serve.LocalConfig
-
-// FabricWorkerOptions tunes one fabric worker loop: its name, poll
-// cadence, checkpoint directory and per-lease parallelism override.
-type FabricWorkerOptions = serve.WorkerOptions
 
 // FakeService is the injectable Service for tests: scriptable
 // admission failures, latencies and outcomes, no engine underneath.
@@ -112,15 +108,4 @@ func NewServiceClient(base string, hc *http.Client) *ServiceClient {
 // event along the way. A canceled ctx cancels the job.
 func AwaitJob(ctx context.Context, svc Service, id JobID, onEvent func(WatchEvent)) (*JobResult, error) {
 	return serve.Await(ctx, svc, id, onEvent)
-}
-
-// RunFabricWorker joins the coordinator behind c as a sweep-fabric
-// worker: it polls /v1/work/lease, simulates the leased cell ranges
-// locally, and reports outcomes until ctx is canceled. A worker killed
-// mid-lease is harmless — the lease expires and another worker (or the
-// same one restarted on its checkpoint directory) redoes the range,
-// with the journal replaying already-finished cells. The assembled job
-// output on the coordinator is byte-identical to a local run.
-func RunFabricWorker(ctx context.Context, c *ServiceClient, opts FabricWorkerOptions) error {
-	return serve.RunWorker(ctx, c, opts)
 }
