@@ -13,7 +13,7 @@ COVER_FLOOR ?= 80.0
 FUZZTIME ?= 10s
 JOURNAL_FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race smoke smoke-serve smoke-chaos cover fuzz-smoke fuzz-journal calibrate check-twin perf-digest perf-digest-update speedup bench bench-compare profile results check-results clean
+.PHONY: ci vet build test race smoke smoke-serve smoke-chaos cover fuzz-smoke fuzz-journal perf-digest perf-digest-update speedup bench bench-compare profile results check-results clean
 
 # ci is the tier-1 gate: vet, build, the full test suite under the race
 # detector (including the serve handler tests), a parallel-vs-sequential
@@ -22,9 +22,8 @@ JOURNAL_FUZZTIME ?= 5s
 # (a daemon on a seeded sick disk SIGKILLed twice mid-sweep and
 # restarted, under a client with seeded network faults), a brief run
 # of the journal-decoder fuzzer (crash-safety is a tier-1 property),
-# the twin-engine envelope gate (check-twin), and the perfbench
-# determinism gate (perf-digest).
-ci: vet build race smoke smoke-serve smoke-chaos fuzz-journal check-twin perf-digest
+# and the perfbench determinism gate (perf-digest).
+ci: vet build race smoke smoke-serve smoke-chaos fuzz-journal perf-digest
 
 vet:
 	$(GO) vet ./...
@@ -39,8 +38,8 @@ race:
 	$(GO) test -race ./...
 
 # smoke checks the CLI contracts end to end: olsim exits non-zero
-# exactly when verification fails (or names an engine that does not
-# exist); olbench's parallel sweep and dense engine render
+# exactly when verification fails (or names a removed engine: parallel
+# or twin); olbench's parallel sweep and dense engine render
 # byte-identical output to a sequential (-parallel 1) skip-ahead one;
 # the fault campaign is deterministic; and an olbench sweep SIGKILLed
 # once its journal holds a cell resumes to byte-identical output
@@ -55,15 +54,17 @@ smoke:
 	@/tmp/ol-smoke-olsim -kernel add -primitive orderlight -bytes $(SMOKE_SIZE) >/dev/null
 	@if /tmp/ol-smoke-olsim -kernel add -primitive none -bytes $(SMOKE_SIZE) >/dev/null 2>&1; then \
 		echo "smoke: FAIL: incorrect run did not exit non-zero"; exit 1; fi
-	@/tmp/ol-smoke-olsim -kernel add -engine parallel -bytes $(SMOKE_SIZE) >/dev/null 2>&1; st=$$?; \
-	if [ $$st -ne 1 ]; then \
-		echo "smoke: FAIL: -engine parallel exited $$st, want 1 (engine removed)"; exit 1; fi
+	@for e in parallel twin; do \
+		/tmp/ol-smoke-olsim -kernel add -engine $$e -bytes $(SMOKE_SIZE) >/dev/null 2>&1; st=$$?; \
+		if [ $$st -ne 1 ]; then \
+			echo "smoke: FAIL: -engine $$e exited $$st, want 1 (engine removed)"; exit 1; fi; \
+	done
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -parallel 1 >$$tmp/seq.md 2>$$tmp/seq.log; \
 	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) >$$tmp/par.md 2>$$tmp/par.log; \
 	diff $$tmp/seq.md $$tmp/par.md >/dev/null || { \
 		echo "smoke: FAIL: parallel output differs from sequential"; exit 1; }; \
-	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -dense >$$tmp/dense.md 2>$$tmp/dense.log; \
+	/tmp/ol-smoke-olbench -exp $(SMOKE_EXP) -size $(SMOKE_SIZE) -engine dense >$$tmp/dense.md 2>$$tmp/dense.log; \
 	diff $$tmp/seq.md $$tmp/dense.md >/dev/null || { \
 		echo "smoke: FAIL: dense-engine output differs from skip-ahead"; exit 1; }; \
 	cat $$tmp/seq.log $$tmp/par.log; \
@@ -236,7 +237,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME) ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime $(FUZZTIME) ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzResultCacheDecode$$' -fuzztime $(FUZZTIME) ./internal/rcache
-	$(GO) test -run '^$$' -fuzz '^FuzzCalibrationDecode$$' -fuzztime $(FUZZTIME) ./internal/twin
 	$(GO) test -run '^$$' -fuzz '^FuzzChaosPlanDecode$$' -fuzztime $(FUZZTIME) ./internal/chaos
 
 # fuzz-journal is the short ci-gate slice of the journal fuzzer (the one
@@ -244,28 +244,6 @@ fuzz-smoke:
 # the seed corpus plus a burst of mutations on every ci run.
 fuzz-journal:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime $(JOURNAL_FUZZTIME) ./internal/runner
-
-# calibrate regenerates the committed twin calibration artifact from
-# pinned seeds: cycle-engine anchor runs over every Table 2 kernel,
-# primitive and temporary-storage fraction, a least-squares fit, and a
-# cross-check pass that records each family's error envelope. The
-# artifact carries no timestamps and sorts its entries canonically, so
-# regeneration is byte-identical and CI can diff it like results_all.md.
-calibrate:
-	$(GO) run ./cmd/olwhatif -calibrate -out calibration.olcal
-
-# check-twin is the twin-engine envelope gate: it requires the
-# committed calibration artifact, then replays seeded random cells per
-# kernel family — sizes the calibration pass never measured — on both
-# the twin and the skip-ahead cycle engine. It fails when any answer
-# leaves the artifact's recorded error bound, when the median cycle
-# error tops 10%, when the analytical answers are not >=100x faster in
-# aggregate, or when an escalated out-of-confidence cell is not
-# byte-identical to a direct cycle-engine run.
-check-twin:
-	@test -f calibration.olcal || { \
-		echo "check-twin: FAIL: calibration.olcal missing; run 'make calibrate' and commit it"; exit 1; }
-	$(GO) test -run '^TestTwinCheck' -count=1 .
 
 # perf-digest is the deterministic half of the host-cost benchmark. It
 # runs each perfbench workload (sim-cold, sim-warm, serve-mix) briefly
@@ -322,9 +300,6 @@ perf-digest perf-digest-update:
 # check-results can diff it against the committed copy.
 results:
 	$(GO) run ./cmd/olbench -exp all -manifest > results_all.md
-	@if [ -f calibration.olcal ]; then \
-		$(GO) run ./cmd/olwhatif -report -calibration calibration.olcal >> results_all.md; \
-		echo "results: appended twin error-bound table from calibration.olcal"; fi
 	@echo "results: wrote results_all.md"
 
 # check-results fails when the committed results_all.md has drifted

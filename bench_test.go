@@ -2,7 +2,6 @@ package orderlight
 
 import (
 	"context"
-	"os"
 	"strconv"
 	"testing"
 
@@ -50,28 +49,7 @@ func runExperimentDense(b *testing.B, id string) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunExperimentContext(context.Background(), id, cfg,
-			WithScale(benchScale), WithDenseEngine()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// runExperimentTwin is runExperiment on the calibrated analytical twin.
-// Each Twin benchmark pairs with its plain counterpart; cmd/benchjson
-// derives the twin-vs-skip speedup from the pair, which is the µs-per-
-// cell trajectory the benchmark record tracks. Unlike the Dense pairs
-// the outputs are approximate, not byte-identical — the
-// speedup is what the recorded error bounds buy. Skips when the
-// committed calibration artifact is absent (make calibrate).
-func runExperimentTwin(b *testing.B, id string) {
-	b.Helper()
-	if _, err := os.Stat("calibration.olcal"); err != nil {
-		b.Skip("calibration.olcal not present; run `make calibrate`")
-	}
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunExperimentContext(context.Background(), id, cfg,
-			WithScale(benchScale), WithTwin("calibration.olcal")); err != nil {
+			WithScale(benchScale), WithEngine("dense")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,11 +70,6 @@ func BenchmarkFig5FenceOverhead(b *testing.B) {
 // BenchmarkFig5FenceOverheadDense is Figure 5 on the dense reference
 // engine (skip-ahead disabled).
 func BenchmarkFig5FenceOverheadDense(b *testing.B) { runExperimentDense(b, "fig5") }
-
-// BenchmarkFig5FenceOverheadTwin is Figure 5 answered by the calibrated
-// analytical twin — no cycles simulated, approximate within recorded
-// error bounds.
-func BenchmarkFig5FenceOverheadTwin(b *testing.B) { runExperimentTwin(b, "fig5") }
 
 // BenchmarkFig5CacheWarm regenerates Figure 5 against a warm
 // content-addressed result cache: after one priming run, every cell is
@@ -148,10 +121,6 @@ func BenchmarkFig12Applications(b *testing.B) {
 // BenchmarkFig12ApplicationsDense is Figure 12 on the dense reference
 // engine.
 func BenchmarkFig12ApplicationsDense(b *testing.B) { runExperimentDense(b, "fig12") }
-
-// BenchmarkFig12ApplicationsTwin is Figure 12 answered by the
-// calibrated analytical twin.
-func BenchmarkFig12ApplicationsTwin(b *testing.B) { runExperimentTwin(b, "fig12") }
 
 // BenchmarkFig13BMFSweep regenerates Figure 13 and reports the BMF-4
 // OrderLight-over-fence ratio at 1/16 RB.
@@ -261,7 +230,7 @@ func BenchmarkMachineAddOrderLightDense(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Run.Primitive = PrimitiveOrderLight
 	for i := 0; i < b.N; i++ {
-		if _, err := RunKernelContext(context.Background(), cfg, "add", 32<<10, WithDenseEngine()); err != nil {
+		if _, err := RunKernelContext(context.Background(), cfg, "add", 32<<10, WithEngine("dense")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +243,7 @@ func BenchmarkMachineAddFenceDense(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Run.Primitive = PrimitiveFence
 	for i := 0; i < b.N; i++ {
-		if _, err := RunKernelContext(context.Background(), cfg, "add", 16<<10, WithDenseEngine()); err != nil {
+		if _, err := RunKernelContext(context.Background(), cfg, "add", 16<<10, WithEngine("dense")); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,8 +6,7 @@
 //
 // The first parses standard `go test -bench` output (including custom
 // ReportMetric columns) into a stable JSON record and derives the
-// engine speedups from every Foo / FooDense and Foo / FooTwin benchmark
-// pair. The second diffs two such records, flagging time and
+// engine speedups from every Foo / FooDense benchmark pair. The second diffs two such records, flagging time and
 // allocation regressions; -gate makes named regressions fatal (exit 1)
 // beyond a tolerance (default 25%, for cross-machine trajectory
 // points). The raw -bench text should be kept next to the JSON so
@@ -47,21 +46,6 @@ type Speedup struct {
 	Speedup   float64 `json:"speedup"`
 }
 
-// TwinSpeedup is a derived twin-vs-skip engine comparison: benchmark
-// Foo ran the cycle-accurate skip-ahead engine, FooTwin answered the
-// identical grid from the calibrated analytical twin. Unlike the other
-// engine pairs the outputs are approximations inside recorded error
-// bounds, not byte-identical results — the speedup is what those bounds
-// buy.
-type TwinSpeedup struct {
-	Benchmark string  `json:"benchmark"`
-	SkipNs    float64 `json:"skip_ns_per_op"`
-	TwinNs    float64 `json:"twin_ns_per_op"`
-	// Speedup is skip-time / twin-time: how many times faster the
-	// analytical answer arrives.
-	Speedup float64 `json:"speedup"`
-}
-
 // Record is one point on the benchmark trajectory.
 type Record struct {
 	Label     string `json:"label,omitempty"`
@@ -70,11 +54,10 @@ type Record struct {
 	GOARCH    string `json:"goarch"`
 	// MaxProcs is the GOMAXPROCS suffix the test runner appended to the
 	// benchmark names — the CPU budget the point was recorded under.
-	MaxProcs     int           `json:"maxprocs,omitempty"`
-	Benchmarks   []Benchmark   `json:"benchmarks"`
-	DenseVsSkip  []Speedup     `json:"dense_vs_skip,omitempty"`
-	TwinVsSkip   []TwinSpeedup `json:"twin_vs_skip,omitempty"`
-	FailedParses []string      `json:"failed_parses,omitempty"`
+	MaxProcs     int         `json:"maxprocs,omitempty"`
+	Benchmarks   []Benchmark `json:"benchmarks"`
+	DenseVsSkip  []Speedup   `json:"dense_vs_skip,omitempty"`
+	FailedParses []string    `json:"failed_parses,omitempty"`
 }
 
 func main() {
@@ -156,7 +139,6 @@ func parse(r io.Reader) (*Record, error) {
 		return nil, fmt.Errorf("no benchmark result lines found")
 	}
 	rec.DenseVsSkip = deriveSpeedups(rec.Benchmarks)
-	rec.TwinVsSkip = deriveTwinSpeedups(rec.Benchmarks)
 	return rec, nil
 }
 
@@ -235,34 +217,6 @@ func deriveSpeedups(bs []Benchmark) []Speedup {
 			SkipNs:    skip.NsPerOp,
 			DenseNs:   b.NsPerOp,
 			Speedup:   b.NsPerOp / skip.NsPerOp,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Benchmark < out[j].Benchmark })
-	return out
-}
-
-// deriveTwinSpeedups pairs every FooTwin benchmark with its Foo
-// counterpart and reports skip-time / twin-time.
-func deriveTwinSpeedups(bs []Benchmark) []TwinSpeedup {
-	byName := make(map[string]Benchmark, len(bs))
-	for _, b := range bs {
-		byName[b.Name] = b
-	}
-	var out []TwinSpeedup
-	for _, b := range bs {
-		base, ok := strings.CutSuffix(b.Name, "Twin")
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		skip, ok := byName[base]
-		if !ok {
-			continue
-		}
-		out = append(out, TwinSpeedup{
-			Benchmark: base,
-			SkipNs:    skip.NsPerOp,
-			TwinNs:    b.NsPerOp,
-			Speedup:   skip.NsPerOp / b.NsPerOp,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Benchmark < out[j].Benchmark })
@@ -361,12 +315,6 @@ func compareFiles(w io.Writer, oldPath, newPath string, gates []gateSpec) error 
 		fmt.Fprintf(w, "\ndense-engine vs skip-ahead (new record):\n")
 		for _, s := range newRec.DenseVsSkip {
 			fmt.Fprintf(w, "%-42s %.2fx\n", s.Benchmark, s.Speedup)
-		}
-	}
-	if len(newRec.TwinVsSkip) > 0 {
-		fmt.Fprintf(w, "\ntwin engine vs skip-ahead (new record):\n")
-		for _, s := range newRec.TwinVsSkip {
-			fmt.Fprintf(w, "%-42s %.0fx\n", s.Benchmark, s.Speedup)
 		}
 	}
 	return checkGates(w, oldRec, newRec, gates)

@@ -12,7 +12,6 @@
 //	olbench -exp all -progress         # live cell counter on stderr
 //	olbench -exp all -parallel 1       # sequential reference run
 //	olbench -exp fig12 -engine dense   # dense parity-reference engine, identical output
-//	olbench -exp fig12 -engine twin -calibration calibration.olcal -escalate  # analytical twin, approximate
 //	olbench -exp fig12 -size 262144    # bigger per-channel footprint
 //	olbench -exp all -manifest         # attach provenance manifests
 //	olbench -exp all -debug-addr :6060 # pprof + expvar while it runs
@@ -176,14 +175,9 @@ func main() {
 		if rcache.Active() {
 			fatal(fmt.Errorf("-cache-dir is a local path; the daemon manages its own cache (olserve -cache-dir)"))
 		}
-		if eng.Calibration != "" {
-			fatal(fmt.Errorf("-calibration is a local path; the daemon loads its own calibration (olserve -calibration)"))
-		}
 		tables, err = remote(ctx, *server, *tenant, *exp, cfg, orderlight.RunOpts{
 			Parallelism:     *parallel,
-			Dense:           eng.Dense,
 			Engine:          eng.Name,
-			Escalate:        eng.Escalate,
 			NoKernelCache:   !*cache,
 			BytesPerChannel: *size,
 			Manifest:        *manifest,

@@ -16,7 +16,7 @@
 // Usage:
 //
 //	olfault -seed 1 -campaign default
-//	olfault -seed 1 -dense                  # parity reference
+//	olfault -seed 1 -engine dense           # parity reference
 //	olfault -kernel add -class drop -rate 1 # single faulted run
 package main
 

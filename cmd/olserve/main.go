@@ -70,8 +70,6 @@ func main() {
 
 		cacheDir = flag.String("cache-dir", "", "memoize completed cells and whole jobs in this content-addressed result cache, shared across tenants")
 
-		calibration = flag.String("calibration", "", "load this twin calibration artifact once and share it with every engine=twin job that brings none of its own")
-
 		cacheCap = flag.Int64("cache-cap", 0, "result cache disk budget in bytes; least-recently-used blobs evict beyond it (0 = unbounded; needs -cache-dir)")
 
 		healthcheck   = flag.String("healthcheck", "", "client mode: poll BASE/healthz until healthy; exit 0 when up, 2 when draining, 1 when down (no daemon is started)")
@@ -103,7 +101,6 @@ func main() {
 		CheckpointRoot: *ckptRoot,
 		CacheDir:       *cacheDir,
 		CacheBytes:     *cacheCap,
-		Calibration:    *calibration,
 		FS:             orderlight.NewChaosFS(chaosPlan, nil),
 	})
 

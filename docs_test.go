@@ -104,20 +104,6 @@ func TestDocumentedFlagsExist(t *testing.T) {
 	}
 }
 
-// TestTwinFlagSurfaceRegistered pins the twin tier's operator surface:
-// the flags the docs teach (-engine=twin routing via -engine,
-// -calibration, -escalate, and olwhatif's -calibrate/-report/-ts
-// query knobs) must stay registered, so a rename cannot silently strand
-// the documented workflow even if every doc mention is updated in sync.
-func TestTwinFlagSurfaceRegistered(t *testing.T) {
-	flags := registeredFlags(t)
-	for _, name := range []string{"calibration", "escalate", "calibrate", "out", "report", "ts"} {
-		if !flags[name] {
-			t.Errorf("twin flag -%s is not registered by any CLI", name)
-		}
-	}
-}
-
 // The reverse direction for the operator-critical olserve surface:
 // every flag olserve registers must appear in OPERATIONS.md, since that
 // file claims to be the complete reference.

@@ -80,48 +80,24 @@ func (c *Cache) Active() bool { return c.Dir != "" }
 // the option bag verbatim so the library's single validation gate
 // rejects them with the same message everywhere.
 type Engine struct {
-	// Name is -engine: "", "skip", "dense" or "twin".
+	// Name is -engine: "", "skip" or "dense".
 	Name string
-	// Dense is -dense, the pre-existing shorthand for -engine=dense.
-	Dense bool
-	// Calibration is -calibration, the twin engine's artifact path.
-	Calibration string
-	// Escalate is -escalate, the twin engine's out-of-confidence
-	// fallback to the cycle engine.
-	Escalate bool
 }
 
-// RegisterEngine installs -engine, -dense, -calibration and -escalate
-// on fs.
+// RegisterEngine installs -engine on fs.
 func RegisterEngine(fs *flag.FlagSet) *Engine {
 	e := &Engine{}
 	fs.StringVar(&e.Name, "engine", "",
-		"simulation engine: skip (default) or dense (naive parity reference) — byte-identical results — or twin (calibrated analytical model; microsecond approximate answers with recorded error bounds)")
-	fs.BoolVar(&e.Dense, "dense", false,
-		"shorthand for -engine=dense")
-	fs.StringVar(&e.Calibration, "calibration", "",
-		"calibration artifact for the twin engine (needs -engine=twin; regenerate with `make calibrate`)")
-	fs.BoolVar(&e.Escalate, "escalate", false,
-		"re-run cells the twin declines as out-of-confidence on the cycle engine instead of failing (needs -engine=twin)")
+		"simulation engine: skip (default) or dense (naive parity reference); results are byte-identical")
 	return e
 }
 
 // Options converts the parsed flags into facade options.
 func (e *Engine) Options() []orderlight.Option {
-	var opts []orderlight.Option
-	if e.Dense {
-		opts = append(opts, orderlight.WithDenseEngine())
+	if e.Name == "" {
+		return nil
 	}
-	if e.Name != "" {
-		opts = append(opts, orderlight.WithEngine(e.Name))
-	}
-	if e.Calibration != "" {
-		opts = append(opts, orderlight.WithCalibration(e.Calibration))
-	}
-	if e.Escalate {
-		opts = append(opts, orderlight.WithTwinEscalate())
-	}
-	return opts
+	return []orderlight.Option{orderlight.WithEngine(e.Name)}
 }
 
 // Chaos receives the shared fault-injection flags. Like the other
@@ -162,14 +138,11 @@ func (c *Chaos) Plan(logf func(format string, args ...any)) (*orderlight.ChaosPl
 }
 
 // EngineName returns the engine the flags select, for labeling output:
-// "dense", "twin", or "skip" (also for unknown names,
-// which never reach a run — validation rejects them first).
+// "dense" or "skip" (also for unknown names, which never reach a run —
+// validation rejects them first).
 func (e *Engine) EngineName() string {
-	switch {
-	case e.Dense || e.Name == "dense":
+	if e.Name == "dense" {
 		return "dense"
-	case e.Name == "twin":
-		return "twin"
 	}
 	return "skip"
 }

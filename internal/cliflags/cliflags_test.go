@@ -80,9 +80,7 @@ func TestEngineGroup(t *testing.T) {
 		opts int
 	}{
 		{nil, "skip", 0},
-		{[]string{"-dense"}, "dense", 1},
 		{[]string{"-engine", "dense"}, "dense", 1},
-		{[]string{"-engine", "twin", "-calibration", "cal.olcal", "-escalate"}, "twin", 3},
 		{[]string{"-engine", "bogus"}, "skip", 1}, // travels verbatim; validation rejects it later
 	}
 	for _, tc := range tests {
@@ -92,6 +90,17 @@ func TestEngineGroup(t *testing.T) {
 		}
 		if got := len(en.Options()); got != tc.opts {
 			t.Errorf("%v: %d options, want %d", tc.args, got, tc.opts)
+		}
+	}
+	// -engine is the one spelling: the old -dense shorthand and the
+	// retired analytical engine's -calibration/-escalate are refused,
+	// not silently ignored.
+	for _, args := range [][]string{{"-dense"}, {"-calibration", "cal.olcal"}, {"-escalate"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterEngine(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v still parses", args)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"orderlight/internal/config"
 	"orderlight/internal/dram"
 	"orderlight/internal/gpu"
@@ -11,31 +9,14 @@ import (
 )
 
 // Kernel is a fully generated, runnable PIM kernel: the initial memory
-// image and one warp program per channel, plus the accounting the
-// experiments need (host-equivalent traffic for the GPU baseline and
-// expected command counts).
+// image and one warp program per channel, plus the command counts and
+// host-equivalent traffic the experiments need for the GPU baseline.
 type Kernel struct {
 	Spec     Spec
 	Programs []gpu.Program
 	Store    *dram.Store
 	Geom     dram.Geometry
-
-	// Expected command counts across all channels.
-	MemCmds  int64 // commands occupying DRAM bank timing
-	ExecCmds int64 // pure-ALU PIM commands
-	Orders   int64 // ordering primitives emitted (0 when primitive=none)
-
-	// Host-baseline accounting for the roofline model.
-	HostBytes int64 // bytes the host would move for the same computation
-	HostOps   int64 // int32 operations the host would execute
-}
-
-// TotalCmds returns every PIM command the kernel issues.
-func (k *Kernel) TotalCmds() int64 { return k.MemCmds + k.ExecCmds }
-
-// HostTime returns the roofline GPU-baseline execution time.
-func (k *Kernel) HostTime(cfg config.Config) sim.Time {
-	return gpu.HostTime(cfg, k.HostBytes, k.HostOps)
+	Counts
 }
 
 // Build generates the kernel for the given configuration. bytesPerChannel
@@ -54,28 +35,8 @@ func Build(cfg config.Config, spec Spec, bytesPerChannel int64) (*Kernel, error)
 		cfg.Memory.RowBufferBytes, cfg.Memory.BusWidthBytes,
 		cfg.Memory.GroupsPerChannel, cfg.PIM.BMF)
 	n := cfg.CommandsPerTile()
-
-	// Tile count: the primary data structure (first memory phase's
-	// vector) must be covered once.
-	primary := -1
-	for _, p := range spec.Phases {
-		if p.Kind.IsMemAccess() {
-			primary = p.Vec
-			break
-		}
-	}
-	if primary < 0 {
-		return nil, fmt.Errorf("kernel: spec %q has no memory phase", spec.Name)
-	}
 	perTile := vecPerTile(spec, n)
-	dataCmds := bytesPerChannel / int64(cfg.BytesPerCommand())
-	if dataCmds < 1 {
-		dataCmds = 1
-	}
-	tiles := int((dataCmds + int64(perTile[primary]) - 1) / int64(perTile[primary]))
-	if tiles < 1 {
-		tiles = 1
-	}
+	tiles := count(cfg, spec, bytesPerChannel, n, perTile).Tiles
 
 	// Row layout: every data structure lives in bank 0 of its channel
 	// (the paper's mapping places a kernel's operands in the same PIM
@@ -89,7 +50,8 @@ func Build(cfg config.Config, spec Spec, bytesPerChannel int64) (*Kernel, error)
 		}
 	}
 
-	k := &Kernel{Spec: spec, Geom: geom, Store: dram.NewStore(geom.LanesPerSlot)}
+	k := &Kernel{Spec: spec, Geom: geom, Store: dram.NewStore(geom.LanesPerSlot),
+		Counts: Counts{Tiles: tiles}}
 	for ch := 0; ch < cfg.Memory.Channels; ch++ {
 		prog := k.buildChannel(cfg, geom, spec, ch, tiles, n, perTile, rowSpan)
 		k.Programs = append(k.Programs, prog)

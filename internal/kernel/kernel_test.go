@@ -87,6 +87,46 @@ func TestBuildAddCounts(t *testing.T) {
 	}
 }
 
+// TestCountMatchesBuild pins Count's closed form to what Build emits
+// over every Table 2 kernel × primitive × TS at several footprints,
+// including sub-command and non-multiple ones.
+func TestCountMatchesBuild(t *testing.T) {
+	base := config.Default()
+	prims := []config.Primitive{config.PrimitiveNone, config.PrimitiveFence,
+		config.PrimitiveOrderLight, config.PrimitiveSeqno}
+	for _, spec := range All() {
+		for _, prim := range prims {
+			for _, ts := range []int{128, 256, 512, 1024} {
+				for _, bytes := range []int64{512, 4 << 10, 100_000, 256 << 10} {
+					cfg := base
+					cfg.Run.Primitive = prim
+					cfg.PIM.TSBytes = ts
+					k, err := Build(cfg, spec, bytes)
+					if err != nil {
+						t.Fatalf("Build(%s/%v/ts=%d): %v", spec.Name, prim, ts, err)
+					}
+					got, err := Count(cfg, spec, bytes)
+					if err != nil {
+						t.Fatalf("Count(%s/%v/ts=%d): %v", spec.Name, prim, ts, err)
+					}
+					if got != k.Counts {
+						t.Errorf("%s/%v/ts=%d bytes=%d: Count = %+v, Build = %+v",
+							spec.Name, prim, ts, bytes, got, k.Counts)
+					}
+				}
+			}
+		}
+	}
+	if _, err := Count(base, Spec{Name: "empty"}, 4096); err == nil {
+		t.Error("Count accepted a spec with no phases")
+	}
+	bad := base
+	bad.Memory.Channels = 0
+	if _, err := Count(bad, All()[0], 4096); err == nil {
+		t.Error("Count accepted an invalid config")
+	}
+}
+
 func TestBuildNoneEmitsNoPrimitives(t *testing.T) {
 	cfg := smallCfg(config.PrimitiveNone)
 	spec, _ := ByName("add")

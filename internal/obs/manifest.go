@@ -25,19 +25,11 @@ type Manifest struct {
 	BytesPerChannel int64   `json:"bytes_per_channel"`   // data footprint
 	HostBaseline    bool    `json:"host_baseline"`       // host-streaming cell, not a PIM kernel
 	ConfigHash      string  `json:"config_hash"`         // ConfigHash of the full config
-	Engine          string  `json:"engine"`              // "skip", "dense" or "twin"
+	Engine          string  `json:"engine"`              // "skip" or "dense"
 	WallMS          float64 `json:"wall_ms"`             // host wall-clock time of the cell
 	GoVersion       string  `json:"go_version"`          // runtime.Version()
 	CacheKey        string  `json:"cache_key,omitempty"` // result-cache content address, when a cache was armed
 	CacheHit        bool    `json:"cache_hit,omitempty"` // result served from the cache (WallMS is then zero)
-
-	// Twin provenance: set only on engine=twin answers, which are
-	// approximations — CalibrationHash names the exact calibration the
-	// answer came from and ErrorBound is its recorded relative
-	// cycle-count bound. Deliberately absent from String(): twin tables
-	// are never byte-compared against cycle-engine tables.
-	CalibrationHash string  `json:"calibration_hash,omitempty"`
-	ErrorBound      float64 `json:"error_bound,omitempty"`
 }
 
 // ConfigHash returns a short deterministic digest of the complete

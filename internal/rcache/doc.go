@@ -15,7 +15,7 @@
 // # Layout
 //
 // On disk every entry is one blob file named by the hex sha256 of its
-// key, in the container format shared with internal/twin:
+// key. OLRES1 is the repository's one durable container format:
 //
 //	magic "OLRES1" | version uint16 | payload length uint64 | sha256 | gob envelope
 //

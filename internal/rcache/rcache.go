@@ -247,8 +247,8 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%x.res", sum))
 }
 
-// Encode renders a key/payload pair into the versioned container
-// format shared with internal/twin:
+// Encode renders a key/payload pair into OLRES1, the repository's one
+// durable container format:
 //
 //	magic "OLRES1" | version uint16 | payload length uint64 | sha256 | gob envelope
 //

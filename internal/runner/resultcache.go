@@ -47,8 +47,8 @@ func (e *Engine) cellCacheKey(c *Cell) string {
 // their point is the injection and the oracle verdict, not the result.
 func cacheableCell(c *Cell) bool { return !c.Fault.Active() }
 
-// encodeCellResult and decodeCellResult are the gob round-trip shared
-// by the cycle-result and twin-result cache paths.
+// encodeCellResult and decodeCellResult are the cell cache's gob
+// round-trip.
 func encodeCellResult(cr *CellResult) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(cr); err != nil {

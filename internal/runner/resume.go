@@ -11,7 +11,6 @@ import (
 
 	"orderlight/internal/olerrors"
 	"orderlight/internal/sim"
-	"orderlight/internal/twin"
 )
 
 // cellHash renders a cell's full identity — everything that affects its
@@ -98,19 +97,6 @@ func (e *Engine) journalAppend(journal *cellJournal, ent journalEntry) {
 // and journals the completed result. Retries rerun the cell from
 // scratch after an exponential backoff.
 func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *cellJournal) (Result, error) {
-	if e.twinEng {
-		res, err := e.runTwinCell(c)
-		if err == nil {
-			return res, nil
-		}
-		if !e.twinEsc || !errors.Is(err, twin.ErrOutOfConfidence) {
-			return Result{}, err
-		}
-		// Escalation: fall through to the skip-ahead cycle engine. The
-		// cell takes the ordinary path below — same cache domain, same
-		// manifest engine name — so its result is byte-identical to a
-		// direct cycle-engine run.
-	}
 	hash := cellHash(c)
 	cached := e.cacheArmed() && cacheableCell(c)
 	if cached {

@@ -21,7 +21,6 @@ import (
 	"orderlight/internal/pim"
 	"orderlight/internal/rcache"
 	"orderlight/internal/stats"
-	"orderlight/internal/twin"
 )
 
 // Cell is one independent simulation in an experiment grid.
@@ -150,23 +149,6 @@ type Options struct {
 	// samplers).
 	ResultCache *rcache.Cache
 
-	// TwinEngine answers every cell from the calibrated analytical twin
-	// instead of simulating: microsecond approximate answers with a
-	// recorded error bound, never functionally verified. Requires Twin.
-	// Mutually exclusive with the cycle engines and with every option
-	// that observes or steers a real simulation (trace sinks, samplers,
-	// the cell journal).
-	TwinEngine bool
-
-	// Twin is the calibration the twin engine answers from.
-	Twin *twin.Predictor
-
-	// TwinEscalate re-runs any cell the twin declines
-	// (twin.ErrOutOfConfidence) on the skip-ahead cycle engine instead
-	// of failing it. The escalated cell is byte-identical to a direct
-	// cycle-engine run. Only meaningful with TwinEngine.
-	TwinEscalate bool
-
 	// FS is the filesystem the progress journal writes through; nil
 	// means the real one. The chaos harness injects its sick disk here.
 	// A failed append turns the journal off instead of failing cells: a
@@ -191,9 +173,6 @@ type Engine struct {
 	retries   int
 	cellTO    time.Duration
 	rcache    *rcache.Cache
-	twinEng   bool
-	twin      *twin.Predictor
-	twinEsc   bool
 	fs        chaos.FS
 	retryBase time.Duration // backoff base; test seam, 0 means 10ms
 	grace     time.Duration // watchdog abandon grace; test seam
@@ -224,9 +203,6 @@ func New(opts Options) *Engine {
 		retries:  opts.CellRetries,
 		cellTO:   opts.CellTimeout,
 		rcache:   opts.ResultCache,
-		twinEng:  opts.TwinEngine,
-		twin:     opts.Twin,
-		twinEsc:  opts.TwinEscalate,
 		fs:       opts.FS,
 	}
 	if e.fs == nil {
@@ -254,28 +230,6 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 // context yields an error wrapping olerrors.ErrCanceled unless a
 // non-cancellation failure happened first.
 func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
-	if e.twinEng {
-		// The twin is an approximation, not a simulation: every option
-		// that observes or steers a real run is meaningless under it and
-		// silently wrong to ignore, so each conflict is named and refused.
-		switch {
-		case e.dense:
-			return nil, fmt.Errorf("runner: %w: TwinEngine conflicts with the dense cycle engine; choose one of -engine=twin|dense|skip",
-				olerrors.ErrInvalidSpec)
-		case e.sink != nil:
-			return nil, fmt.Errorf("runner: %w: WithTraceSink needs a real simulation; the twin engine produces no events",
-				olerrors.ErrInvalidSpec)
-		case e.sampler != nil:
-			return nil, fmt.Errorf("runner: %w: WithSampler needs a real simulation; the twin engine produces no time-series",
-				olerrors.ErrInvalidSpec)
-		case e.ckptDir != "":
-			return nil, fmt.Errorf("runner: %w: checkpoints journal cycle-engine progress; twin answers must not masquerade as simulated cells",
-				olerrors.ErrInvalidSpec)
-		case e.twin == nil:
-			return nil, fmt.Errorf("runner: %w: TwinEngine needs a calibration (Options.Twin / WithTwin)",
-				olerrors.ErrInvalidSpec)
-		}
-	}
 	if len(cells) > 1 {
 		// Name the offending option: "TraceSink/Sampler" told the caller
 		// nothing about which of their options to remove.

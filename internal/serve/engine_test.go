@@ -8,12 +8,12 @@ import (
 	"testing"
 
 	"orderlight/internal/olerrors"
+	"orderlight/internal/stats"
 )
 
 // TestValidateEngine pins engine-field validation on the job wire
-// format: unknown engine names — including the removed "parallel" —
-// are rejected at admission (never mapped to a default engine), and
-// conflicting selections are rejected.
+// format: unknown engine names — including the removed "parallel" and
+// "twin" — are rejected at admission (never mapped to a default engine).
 func TestValidateEngine(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,13 +23,10 @@ func TestValidateEngine(t *testing.T) {
 		{"default", RunOpts{}, ""},
 		{"skip", RunOpts{Engine: "skip"}, ""},
 		{"dense", RunOpts{Engine: "dense"}, ""},
-		{"parallel", RunOpts{Engine: "parallel"}, `unknown engine "parallel" (want skip|dense|twin)`},
-		{"dense flag", RunOpts{Dense: true}, ""},
-		{"dense flag with dense engine", RunOpts{Dense: true, Engine: "dense"}, ""},
+		{"parallel", RunOpts{Engine: "parallel"}, `unknown engine "parallel" (want skip|dense)`},
+		{"twin", RunOpts{Engine: "twin"}, `unknown engine "twin" (want skip|dense)`},
 		{"unknown engine", RunOpts{Engine: "turbo"}, `unknown engine "turbo"`},
 		{"misspelled engine", RunOpts{Engine: "Skip"}, `unknown engine "Skip"`},
-		{"dense flag vs skip engine", RunOpts{Dense: true, Engine: "skip"}, "conflicts with engine"},
-		{"dense flag vs parallel engine", RunOpts{Dense: true, Engine: "parallel"}, `unknown engine "parallel"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,21 +51,61 @@ func TestValidateEngine(t *testing.T) {
 	}
 }
 
+// TestValidateTwinOptions pins that the retired twin engine stays
+// refused at the admission gate whatever rides along with it: neither
+// a bare "twin" nor a twin request carrying the cycle-engine observers
+// it used to refuse (checkpoints, resume, the event feed, a sampler)
+// reaches a run. Each is an invalid spec naming the unknown engine.
+func TestValidateTwinOptions(t *testing.T) {
+	cases := []struct {
+		name string
+		opts RunOpts
+	}{
+		{"twin", RunOpts{Engine: "twin"}},
+		{"twin with checkpoints", RunOpts{Engine: "twin", CheckpointDir: "ck"}},
+		{"twin with resume", RunOpts{Engine: "twin", CheckpointDir: "ck", Resume: true}},
+		{"twin with stream-trace", RunOpts{Engine: "twin", StreamTrace: true}},
+		{"twin with sampler", RunOpts{Engine: "twin", Sampler: stats.NewSampler(100)}},
+	}
+	const want = `unknown engine "twin" (want skip|dense)`
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := JobRequest{Kind: KindKernel, Kernel: "add", Opts: tc.opts}
+			err := req.Validate()
+			if err == nil {
+				t.Fatalf("Validate() accepted, want error containing %q", want)
+			}
+			if !errors.Is(err, olerrors.ErrInvalidSpec) {
+				t.Errorf("error %v is not classified as ErrInvalidSpec", err)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		})
+	}
+}
+
 // TestSubmitRejectsRemovedEngine pins the wire side of removed options:
-// naming the parallel engine, or sending its old shard-count field, the
-// mid-cell checkpoint fields (halt_after, checkpoint_every) or the sweep
-// fabric's fabric flag, is a 400 invalid-spec at POST /v1/jobs, never a
-// run with the field ignored. The fabric's /v1/work routes are gone.
+// naming the parallel or twin engine, or sending the parallel engine's
+// shard-count field, the mid-cell checkpoint fields (halt_after,
+// checkpoint_every), the sweep fabric's fabric flag, the twin's
+// calibration and escalate fields or the old dense shorthand, is a 400
+// invalid-spec at POST /v1/jobs, never a run with the field ignored.
+// The fabric's /v1/work routes are gone.
 func TestSubmitRejectsRemovedEngine(t *testing.T) {
 	_, client := newFakeServer(t)
 	cases := []struct {
 		name, body, want string
 	}{
-		{"engine", `{"kind":"kernel","kernel":"add","opts":{"engine":"parallel"}}`, "want skip|dense|twin"},
+		{"engine", `{"kind":"kernel","kernel":"add","opts":{"engine":"parallel"}}`, "want skip|dense"},
+		{"twin", `{"kind":"kernel","kernel":"add","opts":{"engine":"twin"}}`, `unknown engine "twin" (want skip|dense)`},
 		{"shards", `{"kind":"kernel","kernel":"add","opts":{"shards":4}}`, `unknown field "shards"`},
 		{"halt_after", `{"kind":"kernel","kernel":"add","opts":{"halt_after":400}}`, `unknown field "halt_after"`},
 		{"checkpoint_every", `{"kind":"experiment","experiment":"fig5","opts":{"checkpoint_dir":"ck","checkpoint_every":1024}}`, `unknown field "checkpoint_every"`},
 		{"fabric", `{"kind":"experiment","experiment":"fig5","opts":{"fabric":true}}`, `unknown field "fabric"`},
+		{"calibration", `{"kind":"kernel","kernel":"add","opts":{"engine":"twin","calibration":"calibration.olcal"}}`, `unknown field "calibration"`},
+		{"escalate", `{"kind":"kernel","kernel":"add","opts":{"escalate":true}}`, `unknown field "escalate"`},
+		{"dense", `{"kind":"kernel","kernel":"add","opts":{"dense":true}}`, `unknown field "dense"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,10 +7,8 @@ import (
 	"orderlight/internal/config"
 	"orderlight/internal/experiments"
 	"orderlight/internal/kernel"
-	"orderlight/internal/olerrors"
 	"orderlight/internal/rcache"
 	"orderlight/internal/runner"
-	"orderlight/internal/twin"
 )
 
 // Service is the public face of the simulator-as-a-service: submit a
@@ -69,19 +67,6 @@ func Execute(ctx context.Context, req *JobRequest) (*JobResult, error) {
 			return nil, fmt.Errorf("serve: open result cache: %w", err)
 		}
 	}
-	var pred *twin.Predictor
-	if o.Engine == "twin" {
-		pred = o.TwinPredictor
-		if pred == nil {
-			if o.Calibration == "" {
-				return nil, fmt.Errorf("serve: %w: the twin engine needs a calibration artifact (WithTwin(path) / -calibration; regenerate with `make calibrate`)", olerrors.ErrInvalidSpec)
-			}
-			var err error
-			if pred, err = twin.LoadPredictor(o.Calibration); err != nil {
-				return nil, fmt.Errorf("serve: load calibration %q: %w", o.Calibration, err)
-			}
-		}
-	}
 	// The engine is built per job, so its kernel cache hits only when
 	// one job builds a cell image twice: a multi-cell grid, the fault
 	// oracle's pristine rebuild, or a retried cell. A plain single-cell
@@ -91,10 +76,7 @@ func Execute(ctx context.Context, req *JobRequest) (*JobResult, error) {
 		Parallelism:        o.Parallelism,
 		Progress:           o.Progress,
 		DisableKernelCache: o.NoKernelCache || (!req.MultiCell() && !o.Fault.Active() && o.Retries == 0),
-		DenseEngine:        o.Dense || o.Engine == "dense",
-		TwinEngine:         o.Engine == "twin",
-		Twin:               pred,
-		TwinEscalate:       o.Escalate,
+		DenseEngine:        o.Engine == "dense",
 		TraceSink:          o.Sink,
 		Sampler:            o.Sampler,
 		Manifest:           o.Manifest,

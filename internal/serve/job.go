@@ -14,7 +14,6 @@ import (
 	"orderlight/internal/olerrors"
 	"orderlight/internal/rcache"
 	"orderlight/internal/stats"
-	"orderlight/internal/twin"
 )
 
 // JobID identifies one submitted job for the rest of its life. IDs are
@@ -98,8 +97,6 @@ var wireSentinels = []struct {
 	{"not-finished", ErrNotFinished},
 	{"cell-timeout", olerrors.ErrCellTimeout},
 	{"cell-panic", olerrors.ErrCellPanic},
-	{"twin-confidence", twin.ErrOutOfConfidence},
-	{"twin-calibration", twin.ErrCalibration},
 	{"canceled", olerrors.ErrCanceled},
 	{"unknown-kernel", olerrors.ErrUnknownKernel},
 	{"unknown-experiment", olerrors.ErrUnknownExperiment},
@@ -156,24 +153,11 @@ type RunOpts struct {
 	// Parallelism bounds the job's cell worker pool; <= 0 means one
 	// worker per CPU.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Dense runs on the naive dense tick engine (parity reference).
-	// Kept for wire compatibility; it is shorthand for Engine "dense".
-	Dense bool `json:"dense,omitempty"`
 	// Engine selects the simulation engine by name: "skip" (default)
-	// or "dense" (byte-identical results), or "twin" — the calibrated
-	// analytical model, whose answers are approximations with recorded
-	// error bounds, never byte-compared against the cycle engines.
-	// Unknown values are rejected at admission.
+	// or "dense", the naive tick engine kept as a parity reference
+	// (byte-identical results). Unknown values are rejected at
+	// admission.
 	Engine string `json:"engine,omitempty"`
-	// Calibration is the twin engine's calibration artifact path (the
-	// facade's WithTwin / the CLIs' -calibration). Only meaningful with
-	// Engine "twin".
-	Calibration string `json:"calibration,omitempty"`
-	// Escalate re-runs cells the twin declines as out-of-confidence on
-	// the skip-ahead cycle engine instead of failing; escalated cells
-	// are byte-identical to a direct cycle-engine run. Only meaningful
-	// with Engine "twin".
-	Escalate bool `json:"escalate,omitempty"`
 	// NoKernelCache disables sharing built kernel images across cells.
 	NoKernelCache bool `json:"no_kernel_cache,omitempty"`
 	// BytesPerChannel overrides the experiment data footprint (the
@@ -209,9 +193,6 @@ type RunOpts struct {
 	// Cache is an already-open result cache (the daemon attaches its
 	// shared one); takes precedence over CacheDir.
 	Cache *rcache.Cache `json:"-"`
-	// TwinPredictor is an already-loaded calibration (the daemon
-	// attaches its shared one); takes precedence over Calibration.
-	TwinPredictor *twin.Predictor `json:"-"`
 	// FS is the filesystem the run's durability layers (the progress
 	// journal, result-cache blobs) write through; nil means the real
 	// one. The chaos harness injects its seeded sick disk here. Never
@@ -234,35 +215,9 @@ func (o *RunOpts) Validate() error {
 		return fmt.Errorf("serve: %w: bytes per channel %d is negative", olerrors.ErrInvalidSpec, o.BytesPerChannel)
 	}
 	switch o.Engine {
-	case "", "skip", "dense", "twin":
+	case "", "skip", "dense":
 	default:
-		return fmt.Errorf("serve: %w: unknown engine %q (want skip|dense|twin)", olerrors.ErrInvalidSpec, o.Engine)
-	}
-	if o.Dense && (o.Engine == "skip" || o.Engine == "twin") {
-		return fmt.Errorf("serve: %w: WithDenseEngine (dense) conflicts with engine %q; pick one engine", olerrors.ErrInvalidSpec, o.Engine)
-	}
-	if o.Engine == "twin" {
-		// The twin answers from a fitted model — it has no machine to
-		// journal, trace, sample or fault.
-		switch {
-		case o.CheckpointDir != "" || o.Resume:
-			return fmt.Errorf("serve: %w: checkpoints journal cycle-engine progress; the twin engine has none (drop WithCheckpointDir/WithResume)", olerrors.ErrInvalidSpec)
-		case o.Sink != nil || o.StreamTrace:
-			return fmt.Errorf("serve: %w: the twin engine simulates nothing and emits no event feed (drop WithTraceSink/stream_trace)", olerrors.ErrInvalidSpec)
-		case o.Sampler != nil:
-			return fmt.Errorf("serve: %w: the twin engine simulates nothing and has no counters to sample (drop WithSampler)", olerrors.ErrInvalidSpec)
-		case o.Fault.Active():
-			return fmt.Errorf("serve: %w: fault injection attacks a real machine; the twin engine has none (run the fault plan on a cycle engine)", olerrors.ErrInvalidSpec)
-		}
-	} else {
-		switch {
-		case o.Calibration != "":
-			return fmt.Errorf("serve: %w: WithCalibration (calibration) needs the twin engine (WithTwin / engine \"twin\")", olerrors.ErrInvalidSpec)
-		case o.Escalate:
-			return fmt.Errorf("serve: %w: WithTwinEscalate (escalate) needs the twin engine (WithTwin / engine \"twin\")", olerrors.ErrInvalidSpec)
-		case o.TwinPredictor != nil:
-			return fmt.Errorf("serve: %w: a twin predictor needs the twin engine (WithTwin / engine \"twin\")", olerrors.ErrInvalidSpec)
-		}
+		return fmt.Errorf("serve: %w: unknown engine %q (want skip|dense)", olerrors.ErrInvalidSpec, o.Engine)
 	}
 	if o.Fault.Active() {
 		if err := o.Fault.Validate(); err != nil {

@@ -20,7 +20,6 @@ import (
 	"orderlight/internal/olerrors"
 	"orderlight/internal/rcache"
 	"orderlight/internal/stats"
-	"orderlight/internal/twin"
 )
 
 // LocalConfig tunes the production Service implementation.
@@ -53,12 +52,6 @@ type LocalConfig struct {
 	// unopenable directory fails every Submit rather than silently
 	// running uncached.
 	CacheDir string
-
-	// Calibration, when set, loads a twin calibration artifact once at
-	// startup and shares its predictor with every twin job that does
-	// not carry its own (olserve -calibration). An unloadable artifact
-	// fails twin submissions — cycle-engine jobs are unaffected.
-	Calibration string
 
 	// CacheBytes caps the result cache's on-disk footprint; past it the
 	// least recently used blobs are evicted. <= 0 means uncapped.
@@ -109,12 +102,6 @@ type Local struct {
 	cache    *rcache.Cache
 	cacheErr error
 
-	// twin is the shared calibration predictor (nil without
-	// Calibration); twinErr records a load failure, surfaced on twin
-	// submissions only.
-	twin    *twin.Predictor
-	twinErr error
-
 	mu       sync.Mutex
 	seq      int
 	jobs     map[JobID]*job
@@ -145,12 +132,6 @@ func NewLocal(cfg LocalConfig) *Local {
 			s.cacheErr = fmt.Errorf("serve: %w: result cache %q: %v", olerrors.ErrInvalidSpec, cfg.CacheDir, s.cacheErr)
 		}
 	}
-	if cfg.Calibration != "" {
-		s.twin, s.twinErr = twin.LoadPredictor(cfg.Calibration)
-		if s.twinErr != nil {
-			s.twinErr = fmt.Errorf("serve: %w: calibration %q: %v", olerrors.ErrInvalidSpec, cfg.Calibration, s.twinErr)
-		}
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -169,9 +150,6 @@ func (s *Local) Submit(ctx context.Context, req JobRequest) (JobID, error) {
 	}
 	if s.cacheErr != nil {
 		return "", s.cacheErr
-	}
-	if s.twinErr != nil && req.Opts.Engine == "twin" {
-		return "", s.twinErr
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,9 +174,7 @@ func (s *Local) Submit(ctx context.Context, req JobRequest) (JobID, error) {
 		return "", fmt.Errorf("serve: %w: tenant %q already has %d job(s) in flight",
 			ErrQuotaExceeded, tenantName(req.Tenant), s.cfg.PerTenant)
 	}
-	if s.cfg.CheckpointRoot != "" && req.Opts.CheckpointDir == "" && req.Opts.Engine != "twin" {
-		// (Twin jobs excluded: they have no cycle-engine progress to
-		// journal, and twin+checkpoint is rejected at validation.)
+	if s.cfg.CheckpointRoot != "" && req.Opts.CheckpointDir == "" {
 		// Key the directory by request content, not job ID: the same
 		// request resubmitted after preemption (or a daemon restart)
 		// lands on the same journal and resumes instead of restarting.
@@ -326,17 +302,9 @@ func (s *Local) runJob(j *job) {
 		}
 	}
 	// Per-cell memoization: jobs without their own cache settings run
-	// against the daemon's shared cache. (Safe for twin jobs too — the
-	// runner keys their cells in a distinct "twin|" domain that embeds
-	// the calibration hash, so a twin answer can never be served as a
-	// cycle-engine result or vice versa.)
+	// against the daemon's shared cache.
 	if s.cache != nil && req.Opts.Cache == nil && req.Opts.CacheDir == "" {
 		req.Opts.Cache = s.cache
-	}
-	// Twin jobs without their own calibration run against the daemon's
-	// shared predictor (olserve -calibration).
-	if req.Opts.Engine == "twin" && req.Opts.TwinPredictor == nil && req.Opts.Calibration == "" {
-		req.Opts.TwinPredictor = s.twin
 	}
 	// The daemon's filesystem (a chaos sick disk under olserve -chaos)
 	// also carries the job's cell journal.
@@ -359,15 +327,11 @@ func (s *Local) runJob(j *job) {
 // sampling runs (the side channel is the point), and anything
 // fault-injected — the campaign's oracle must genuinely
 // re-attack the simulator, so fault-campaign jobs and sweeps (which
-// embed the campaign experiment) always run. Twin jobs are excluded
-// too: their answers are approximations keyed to a calibration file on
-// the server's disk, and a whole-job memo would outlive a recalibration
-// — per-cell twin caching (which embeds the calibration hash in its
-// key) is the only memoization they get.
+// embed the campaign experiment) always run.
 func jobMemoizable(req *JobRequest) bool {
 	o := &req.Opts
 	return !o.Manifest && !o.StreamTrace && o.Sink == nil && o.Sampler == nil &&
-		!o.Fault.Active() && o.Engine != "twin" &&
+		!o.Fault.Active() &&
 		req.Kind != KindFaultCampaign && req.Kind != KindSweep
 }
 
@@ -385,7 +349,7 @@ func jobCacheKey(req *JobRequest) string {
 	o.CheckpointDir, o.Resume = "", false
 	o.Retries, o.CellTimeout = 0, 0
 	o.CacheDir = ""
-	o.Progress, o.Sink, o.Sampler, o.Cache, o.TwinPredictor = nil, nil, nil, nil, nil
+	o.Progress, o.Sink, o.Sampler, o.Cache = nil, nil, nil, nil
 	r.Opts = o
 	b, err := json.Marshal(&r)
 	if err != nil {

@@ -23,7 +23,7 @@ func TestBuildOpts(t *testing.T) {
 		WithParallelism(3),
 		WithProgress(progress),
 		WithKernelCache(false),
-		WithDenseEngine(),
+		WithEngine("dense"),
 		WithScale(Scale{BytesPerChannel: 4096}),
 		WithTraceSink(sink),
 		WithSampler(sampler),
@@ -37,7 +37,7 @@ func TestBuildOpts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Parallelism != 3 || !o.NoKernelCache || !o.Dense || o.BytesPerChannel != 4096 ||
+	if o.Parallelism != 3 || !o.NoKernelCache || o.Engine != "dense" || o.BytesPerChannel != 4096 ||
 		o.Sink != sink || o.Sampler != sampler || o.Fault != fspec || !o.Manifest ||
 		o.CheckpointDir != "ck" || !o.Resume ||
 		o.Retries != 2 || o.CellTimeout != 5*time.Second ||
@@ -50,7 +50,7 @@ func TestBuildOpts(t *testing.T) {
 		opts []Option
 		want string // optional required substring of the error
 	}{
-		{"removed parallel engine", []Option{WithEngine("parallel")}, "want skip|dense|twin"},
+		{"removed parallel engine", []Option{WithEngine("parallel")}, "want skip|dense"},
 		{"resume without dir", []Option{WithResume()}, ""},
 		{"negative retries", []Option{WithCellRetries(-1)}, ""},
 		{"negative timeout", []Option{WithCellTimeout(-time.Second)}, ""},

@@ -52,7 +52,6 @@ import (
 	"orderlight/internal/serve"
 	"orderlight/internal/stats"
 	"orderlight/internal/trace"
-	"orderlight/internal/twin"
 )
 
 // Sentinel errors every failure from this package can be classified
@@ -73,13 +72,6 @@ var (
 	// ErrCellTimeout reports a cell killed by the WithCellTimeout
 	// watchdog.
 	ErrCellTimeout = olerrors.ErrCellTimeout
-	// ErrTwinOutOfConfidence reports a cell the twin engine declines to
-	// answer: foreign config, uncalibrated kernel/primitive/footprint,
-	// or a faulted or host cell. WithTwinEscalate re-runs such cells on
-	// the cycle engine instead. ErrTwinCalibration classifies a damaged
-	// or unusable calibration artifact.
-	ErrTwinOutOfConfidence = twin.ErrOutOfConfidence
-	ErrTwinCalibration     = twin.ErrCalibration
 )
 
 // Config is the complete simulator configuration (Table 1 plus PIM and
@@ -349,57 +341,17 @@ func WithKernelCache(enabled bool) Option {
 	return func(o *RunOpts) { o.NoKernelCache = !enabled }
 }
 
-// WithDenseEngine runs the simulation on the naive dense tick engine:
-// every clock edge fires even when all components are provably idle,
-// instead of the default quiescence skip-ahead. Results are
-// byte-identical either way (the skip-ahead engine's hints are gated by
-// cycle-exact parity tests); the dense engine is the reference for
-// those tests and an escape hatch when debugging the simulator itself.
-func WithDenseEngine() Option {
-	return func(o *RunOpts) { o.Dense = true }
-}
-
 // WithEngine selects the simulation engine by name: "skip" (the
-// default), "dense" or "twin" (the calibrated analytical
-// model — needs WithCalibration). It is the string-typed form the
-// CLIs' -engine flag funnels through; unknown names are rejected by
-// option validation, never silently mapped to a default.
+// default quiescence skip-ahead) or "dense", the naive tick engine on
+// which every clock edge fires even when all components are provably
+// idle. Results are byte-identical either way (the skip-ahead engine's
+// hints are gated by cycle-exact parity tests); the dense engine is the
+// reference for those tests and an escape hatch when debugging the
+// simulator itself. It is the string-typed form the CLIs' -engine flag
+// funnels through; unknown names are rejected by option validation,
+// never silently mapped to a default.
 func WithEngine(name string) Option {
 	return func(o *RunOpts) { o.Engine = name }
-}
-
-// WithTwin answers the run from the calibrated analytical twin instead
-// of simulating: a roofline/queueing model fitted against cycle-engine
-// runs predicts cycle counts and stalls in microseconds. Twin answers
-// are approximations — each carries the calibration's recorded error
-// bound in its manifest, is never marked functionally verified, and is
-// never byte-compared against (or cached as) a cycle-engine result.
-// The artifact at path is the committed calibration (regenerate with
-// `make calibrate`). Cells outside the calibration's confidence domain
-// fail with ErrTwinOutOfConfidence unless WithTwinEscalate is set.
-func WithTwin(path string) Option {
-	return func(o *RunOpts) {
-		o.Engine = "twin"
-		o.Calibration = path
-	}
-}
-
-// WithCalibration points the twin engine at a calibration artifact
-// without selecting the engine — the string-typed form the CLIs'
-// -calibration flag funnels through. Combine with WithEngine("twin");
-// WithTwin does both at once.
-func WithCalibration(path string) Option {
-	return func(o *RunOpts) { o.Calibration = path }
-}
-
-// WithTwinEscalate re-runs cells the twin declines as out-of-confidence
-// (foreign config, uncalibrated kernel or footprint, faulted or host
-// cells) on the skip-ahead cycle engine instead of failing. Escalated
-// cells take the ordinary cycle-engine path — same result-cache domain,
-// same manifest engine name — so they are byte-identical to a direct
-// cycle-engine run.
-func WithTwinEscalate() Option {
-	return func(o *RunOpts) { o.Escalate = true }
 }
 
 // WithScale overrides the data footprint experiments simulate (the
