@@ -24,7 +24,7 @@ type Diverge struct {
 	// the per-cycle CanAccept path and must not allocate.
 	GroupPaths func(group int) []int
 
-	seen []bool // scratch for Targets, sized NPaths on first use
+	seen []bool // scratch for Targets, sized to NPaths on use
 	out  []int  // scratch result buffer reused across Targets calls
 }
 
@@ -34,9 +34,8 @@ type Diverge struct {
 // returned slice is scratch owned by the Diverge: it is valid only
 // until the next Targets call.
 func (d *Diverge) Targets(r isa.Request) []int {
-	if d.out == nil {
-		d.out = make([]int, 0, d.NPaths)
-		d.seen = make([]bool, d.NPaths)
+	if len(d.seen) != d.NPaths {
+		d.seen, d.out = make([]bool, d.NPaths), make([]int, 0, d.NPaths)
 	}
 	d.out = d.out[:0]
 	if r.Kind != isa.KindOrderLight {
@@ -93,11 +92,23 @@ type Converge struct {
 // NewConverge creates a convergence point with nPaths sub-path FIFOs of
 // the given capacity each (0 = unbounded).
 func NewConverge(nPaths, capacity int) *Converge {
-	c := &Converge{paths: make([]*sim.Queue[isa.Request], nPaths)}
-	for i := range c.paths {
-		c.paths[i] = sim.NewQueue[isa.Request](capacity)
-	}
+	c := new(Converge)
+	c.Reset(nPaths, capacity)
 	return c
+}
+
+// Reset empties the convergence point and gives it nPaths sub-path
+// FIFOs of the given capacity, keeping the FIFOs it already has.
+func (c *Converge) Reset(nPaths, capacity int) {
+	c.paths = sim.Resize(c.paths, nPaths)
+	for i, q := range c.paths {
+		if q == nil {
+			c.paths[i] = sim.NewQueue[isa.Request](capacity)
+		} else {
+			q.Reset(capacity)
+		}
+	}
+	c.rr = 0
 }
 
 // NPaths returns the number of sub-paths.

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"orderlight/internal/sim"
+)
 
 // CollectorCounter implements the operand-collector augmentation of
 // §5.3.1: one counter per (memory-channel, memory-group) tracking PIM
@@ -36,13 +40,21 @@ func NewCollectorCounter(channels, groups int) *CollectorCounter {
 // concurrently watched (channel, group) pairs; budget <= 0 means one
 // counter per pair.
 func NewCollectorCounterBudget(channels, groups, budget int) *CollectorCounter {
-	return &CollectorCounter{
-		channels: channels,
-		groups:   groups,
-		counts:   make([]int, channels*groups),
-		budget:   budget,
-		tagged:   make(map[int]bool),
+	c := new(CollectorCounter)
+	c.Reset(channels, groups, budget)
+	return c
+}
+
+// Reset zeroes every counter and gives the set a new shape and budget,
+// keeping its buffers.
+func (c *CollectorCounter) Reset(channels, groups, budget int) {
+	c.channels, c.groups, c.budget, c.total = channels, groups, budget, 0
+	c.counts = sim.Resize(c.counts, channels*groups)
+	clear(c.counts)
+	if c.tagged == nil {
+		c.tagged = make(map[int]bool)
 	}
+	clear(c.tagged)
 }
 
 func (c *CollectorCounter) idx(ch, g int) int {
@@ -107,7 +119,15 @@ type FenceTracker struct {
 
 // NewFenceTracker creates a tracker for nWarps warps.
 func NewFenceTracker(nWarps int) *FenceTracker {
-	return &FenceTracker{outstanding: make([]int, nWarps)}
+	f := new(FenceTracker)
+	f.Reset(nWarps)
+	return f
+}
+
+// Reset zeroes the tracker for nWarps warps, keeping its buffer.
+func (f *FenceTracker) Reset(nWarps int) {
+	f.outstanding = sim.Resize(f.outstanding, nWarps)
+	clear(f.outstanding)
 }
 
 // Issued records a PIM request leaving warp w toward memory.

@@ -16,7 +16,11 @@
 //     accounting that a traditional fence spins on (§4.3).
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"orderlight/internal/sim"
+)
 
 // Epoch identifies the ordering interval a request belongs to within one
 // (channel, memory-group). Epoch e must fully issue to DRAM before any
@@ -49,15 +53,22 @@ type trackerGroup struct {
 
 // NewTracker creates a tracker for nGroups memory-groups.
 func NewTracker(nGroups int) *Tracker {
-	t := &Tracker{
-		groups:     make([]trackerGroup, nGroups),
-		lastPktNum: make([]int64, nGroups),
-	}
+	t := new(Tracker)
+	t.Reset(nGroups)
+	return t
+}
+
+// Reset returns the tracker to its initial state for nGroups groups:
+// one open, empty epoch per group and no packet seen. Per-group epoch
+// buffers are kept.
+func (t *Tracker) Reset(nGroups int) {
+	t.groups = sim.Resize(t.groups, nGroups)
+	t.lastPktNum = sim.Resize(t.lastPktNum, nGroups)
 	for g := range t.groups {
-		t.groups[g].epochs = []int{0}
+		t.groups[g].epochs = append(t.groups[g].epochs[:0], 0)
+		t.groups[g].base = 0
 		t.lastPktNum[g] = -1
 	}
-	return t
 }
 
 // Arrive registers a request for the given group with the scheduler and

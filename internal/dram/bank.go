@@ -68,11 +68,23 @@ type Timing struct {
 // NewTiming creates the timing checker for one channel with nbanks
 // banks, all initially closed and immediately available.
 func NewTiming(t config.DRAMTiming, nbanks int) *Timing {
-	tm := &Timing{t: t, banks: make([]bank, nbanks), lastColBank: -1}
-	for i := range tm.banks {
-		tm.banks[i] = bank{openRow: noRow, nextACT: 0}
-	}
+	tm := new(Timing)
+	tm.Reset(t, nbanks)
 	return tm
+}
+
+// Reset returns the checker to its initial state with new timing
+// parameters and bank count, keeping its bank array when it is large
+// enough.
+func (tm *Timing) Reset(t config.DRAMTiming, nbanks int) {
+	banks := tm.banks[:0]
+	if cap(banks) < nbanks {
+		banks = make([]bank, 0, nbanks)
+	}
+	for range nbanks {
+		banks = append(banks, bank{openRow: noRow})
+	}
+	*tm = Timing{t: t, banks: banks, lastColBank: -1}
 }
 
 // OpenRow returns the open row of a bank, or -1 if closed.

@@ -38,10 +38,37 @@
 // slot granularity, the slots a kernel initializes fill whole pages.
 // A page is allocated the first time one of its slots is written;
 // every later Write copies into the page, and Read of a written slot
-// returns a capped view of it, so neither allocates. Clone copies page
-// by page, one allocation each. Equal compares pages, with a missing
-// page counting as zero. Touched is a running count of bitmap bits, so
-// the written-slot count stays exact even for explicit zero writes.
-// Each visits the written slots; the page layout never leaves the
-// package.
+// returns a capped view of it, so neither allocates. Equal compares
+// pages, with a missing page counting as zero. Touched is a running
+// count of bitmap bits, so the written-slot count stays exact even for
+// explicit zero writes. Each visits the written slots; the page layout
+// never leaves the package.
+//
+// # Copy-on-write clones
+//
+// Clone and CloneInto copy only the page table. The clone shares every
+// page slab and the page index with its source, and the contract is:
+//
+//   - A shared slab is never written in place. Each slab carries a
+//     holder count (one extra word at the end of its allocation) of the
+//     page tables that point at it. Write copies a page whose count is
+//     above one into a private slab, then drops its hold on the old
+//     one; a store that finds itself the only holder writes in place.
+//     So after a clone the first write to a page on either side copies
+//     it, and once one side has copied, the other writes in place.
+//   - The index is shared the same way and copied by the first store
+//     that adds a page to it.
+//   - Clone only reads its source, apart from atomic increments of the
+//     holder counts, so any number of goroutines may clone and read one
+//     store nobody writes (the runner's kernel cache does). A store is
+//     not safe for a Write concurrent with anything else on it.
+//   - Counts may only overstate: a store that is dropped without being
+//     reused never releases its holds, which costs its sharers an
+//     extra copy, never a wrong byte. CloneInto releases what its
+//     destination held before.
+//   - Equal and Diff skip pages whose slab both stores share.
+//
+// A clone costs two allocations (header and page table) whatever the
+// page count, and CloneInto a store whose page table is large enough
+// costs none.
 package dram

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"orderlight/internal/isa"
 )
@@ -20,10 +21,46 @@ const (
 
 // page holds pageSlots consecutive slots in one contiguous lane slab,
 // plus a bitmap of the slots ever written. Unwritten slots are zero.
+// The slab may be shared with clones: refs counts the page tables that
+// point at it, and a store writes a slab in place only while it is the
+// one holder.
 type page struct {
 	key     isa.Addr // page number: the slot address >> pageShift
 	data    []int32  // pageSlots*lanes lanes, slot i at [i*lanes, (i+1)*lanes)
+	refs    *int32   // holders of data; the word after data in the same allocation
 	written uint64
+}
+
+// newSlab allocates a zeroed slab of n lanes held by one page table.
+// Its holder count lives in one extra word of the same allocation, so
+// a page costs one allocation.
+func newSlab(n int) ([]int32, *int32) {
+	buf := make([]int32, n+1)
+	buf[n] = 1
+	return buf[:n:n], &buf[n]
+}
+
+// shared reports whether another page table also holds p's slab.
+func (p *page) shared() bool { return atomic.LoadInt32(p.refs) > 1 }
+
+// own gives p a private copy of its slab if the slab is shared. The old
+// slab is released only after it has been copied, so a holder that
+// then finds itself alone can write it in place.
+func (p *page) own() {
+	if !p.shared() {
+		return
+	}
+	data, refs := newSlab(len(p.data))
+	copy(data, p.data)
+	atomic.AddInt32(p.refs, -1)
+	p.data, p.refs = data, refs
+}
+
+// pageIndex maps page numbers to positions in a page table. Clones
+// share it until one of them adds a page.
+type pageIndex struct {
+	refs int32 // stores that use this index; atomic
+	pos  map[isa.Addr]int
 }
 
 // Store is the functional backing memory: lazily allocated fixed-size
@@ -32,13 +69,14 @@ type page struct {
 // produces are real and an ordering violation shows up as a wrong
 // answer.
 //
-// Concurrent Read and Clone calls on a store nobody writes are safe;
-// the runner's kernel cache relies on that.
+// Clones are copy-on-write: they share page slabs and the page index
+// until one side writes. Concurrent Read and Clone calls on a store
+// nobody writes are safe; the runner's kernel cache relies on that.
 type Store struct {
 	lanes   int
-	index   map[isa.Addr]int // page number -> position in pages
-	pages   []page           // in first-touch order
-	touched int              // set bits across every page's written bitmap
+	index   *pageIndex // page number -> position in pages
+	pages   []page     // in first-touch order
+	touched int        // set bits across every page's written bitmap
 }
 
 // NewStore creates an empty store whose slots carry the given number of
@@ -47,7 +85,7 @@ func NewStore(lanes int) *Store {
 	if lanes <= 0 {
 		panic("dram: store needs at least one lane per slot")
 	}
-	return &Store{lanes: lanes, index: make(map[isa.Addr]int)}
+	return &Store{lanes: lanes, index: &pageIndex{refs: 1, pos: make(map[isa.Addr]int)}}
 }
 
 // Lanes returns the number of int32 lanes per slot.
@@ -56,7 +94,7 @@ func (s *Store) Lanes() int { return s.lanes }
 // page returns page number key, or nil when no slot in it was written.
 // The pointer is valid until the store next gains a page.
 func (s *Store) page(key isa.Addr) *page {
-	if i, ok := s.index[key]; ok {
+	if i, ok := s.index.pos[key]; ok {
 		return &s.pages[i]
 	}
 	return nil
@@ -80,7 +118,8 @@ func (s *Store) Read(a isa.Addr) []int32 {
 }
 
 // Write replaces the payload of a slot. The value slice is copied; only
-// the first write into a page allocates.
+// the first write into a page allocates: a page the store lacks, or one
+// whose slab a clone still shares.
 func (s *Store) Write(a isa.Addr, v []int32) {
 	if len(v) != s.lanes {
 		panic(fmt.Sprintf("dram: write of %d lanes to %d-lane store", len(v), s.lanes))
@@ -89,20 +128,34 @@ func (s *Store) Write(a isa.Addr, v []int32) {
 }
 
 // slot returns the writable lanes of a slot, creating its page on first
-// touch and marking the slot written.
+// touch, unsharing a shared slab and marking the slot written.
 func (s *Store) slot(a isa.Addr) []int32 {
 	key, off := a>>pageShift, int(a&pageMask)
 	p := s.page(key)
 	if p == nil {
-		s.index[key] = len(s.pages)
-		s.pages = append(s.pages, page{key: key, data: make([]int32, pageSlots*s.lanes)})
-		p = &s.pages[len(s.pages)-1]
+		p = s.addPage(key)
+	} else {
+		p.own()
 	}
 	if bit := uint64(1) << off; p.written&bit == 0 {
 		p.written |= bit
 		s.touched++
 	}
 	return s.lanesOf(p, off)
+}
+
+// addPage appends an empty page, first taking a private copy of the
+// index if a clone shares it.
+func (s *Store) addPage(key isa.Addr) *page {
+	if atomic.LoadInt32(&s.index.refs) > 1 {
+		idx := &pageIndex{refs: 1, pos: maps.Clone(s.index.pos)}
+		atomic.AddInt32(&s.index.refs, -1)
+		s.index = idx
+	}
+	s.index.pos[key] = len(s.pages)
+	data, refs := newSlab(pageSlots * s.lanes)
+	s.pages = append(s.pages, page{key: key, data: data, refs: refs})
+	return &s.pages[len(s.pages)-1]
 }
 
 // Touched returns the number of slots ever written.
@@ -120,17 +173,43 @@ func (s *Store) Each(fn func(a isa.Addr, v []int32)) {
 	}
 }
 
-// Clone deep-copies the store (used to snapshot initial state for the
-// reference executor). It only reads s, so concurrent clones of one
-// store are safe. Each page is copied into its own allocation: every
-// page slab then has the same size, so the heap reuses freed pages
-// exactly instead of searching for one contiguous run per clone.
-func (s *Store) Clone() *Store {
-	c := &Store{lanes: s.lanes, index: maps.Clone(s.index), pages: make([]page, len(s.pages)), touched: s.touched}
-	for i, p := range s.pages {
-		c.pages[i] = page{key: p.key, data: slices.Clone(p.data), written: p.written}
+// Clone returns a copy-on-write copy of the store (used to snapshot
+// initial state for the reference executor). See CloneInto.
+func (s *Store) Clone() *Store { return s.CloneInto(new(Store)) }
+
+// CloneInto makes dst a copy-on-write copy of s and returns it, reusing
+// dst's page table; whatever dst held before is released. The copy
+// shares every page slab and the page index with s, and the first
+// write to a shared page on either side copies that page. s is only
+// read, apart from atomic holder counts, so concurrent clones of one
+// store are safe. The cost is one pass over the page table, and no
+// allocation once dst's table has grown to s's size.
+func (s *Store) CloneInto(dst *Store) *Store {
+	if dst == s {
+		return s
 	}
-	return c
+	dst.Release()
+	atomic.AddInt32(&s.index.refs, 1)
+	for i := range s.pages {
+		atomic.AddInt32(s.pages[i].refs, 1)
+	}
+	dst.lanes, dst.index, dst.touched = s.lanes, s.index, s.touched
+	dst.pages = append(dst.pages, s.pages...)
+	return dst
+}
+
+// Release empties the store and drops its hold on every slab and on
+// the index, so stores still sharing them may write in place. The page
+// table keeps its capacity for a later CloneInto.
+func (s *Store) Release() {
+	for i := range s.pages {
+		atomic.AddInt32(s.pages[i].refs, -1)
+	}
+	if s.index != nil {
+		atomic.AddInt32(&s.index.refs, -1)
+	}
+	clear(s.pages)
+	s.pages, s.index, s.touched = s.pages[:0], nil, 0
 }
 
 // zeros reports whether every lane of v is zero.
@@ -144,7 +223,8 @@ func zeros(v []int32) bool {
 }
 
 // Equal reports whether two stores hold identical contents, treating
-// missing slots as zero-filled.
+// missing slots as zero-filled. Pages whose slab the two stores share
+// are equal without a look.
 func (s *Store) Equal(o *Store) bool {
 	if s.lanes != o.lanes {
 		return false
@@ -152,7 +232,7 @@ func (s *Store) Equal(o *Store) bool {
 	for i := range s.pages {
 		p := &s.pages[i]
 		if op := o.page(p.key); op != nil {
-			if !slices.Equal(p.data, op.data) {
+			if p.refs != op.refs && !slices.Equal(p.data, op.data) {
 				return false
 			}
 		} else if !zeros(p.data) {
@@ -189,6 +269,9 @@ func (s *Store) Diff(o *Store, limit int) []isa.Addr {
 			break
 		}
 		p, op := s.page(key), o.page(key)
+		if p != nil && op != nil && p.refs == op.refs {
+			continue // one shared slab
+		}
 		for off := 0; off < pageSlots && len(out) < limit; off++ {
 			if !slices.Equal(s.view(p, off, zero), o.view(op, off, zero)) {
 				out = append(out, key<<pageShift|isa.Addr(off))

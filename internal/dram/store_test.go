@@ -117,15 +117,23 @@ func TestStoreMatchesMapModel(t *testing.T) {
 					s.Write(a, v)
 					r.write(a, v)
 				case op < 8:
-					// Clone, let the copies diverge, and compare them.
+					// Clone, let the copies diverge by writing both
+					// sides (often the same shared page), and compare
+					// them.
 					c, rc := s.Clone(), r.clone()
-					for i := rng.Intn(4); i > 0; i-- {
+					for i := rng.Intn(6); i > 0; i-- {
 						b, v := modelAddr(rng), modelValue(rng, lanes)
-						c.Write(b, v)
-						rc.write(b, v)
+						if rng.Intn(2) == 0 {
+							c.Write(b, v)
+							rc.write(b, v)
+						} else {
+							s.Write(b, v)
+							r.write(b, v)
+						}
 						probes = append(probes, b)
 					}
 					checkModel(t, step, c, rc, probes)
+					checkModel(t, step, s, r, probes)
 					// Both directions: the clone may hold pages s lacks.
 					want := rc.diff(r)
 					for _, x := range [][2]*Store{{c, s}, {s, c}} {
@@ -207,6 +215,63 @@ func TestStoreConcurrentCloneAndRead(t *testing.T) {
 	}
 }
 
+func TestStoreConcurrentCloneThenWrite(t *testing.T) {
+	// Workers clone one master at once and write every page of their
+	// copy, so shared slabs are copied and released concurrently. No
+	// copy may see another's writes, and the master must stay intact.
+	// Run under -race.
+	master := NewStore(4)
+	for a := isa.Addr(0); a < 4*pageSlots; a++ {
+		master.Write(a, []int32{int32(a), 1, 2, 3})
+	}
+	want := master.Clone()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				c := master.Clone()
+				mark := int32(100*g + round)
+				for a := isa.Addr(0); a < 4*pageSlots; a += pageSlots / 2 {
+					c.Write(a, []int32{mark, mark, mark, mark})
+				}
+				c.Write(9*pageSlots, []int32{mark, 0, 0, 0}) // a page the master lacks
+				for a := isa.Addr(0); a < 4*pageSlots; a++ {
+					got := c.Read(a)[0]
+					if a%(pageSlots/2) == 0 && got != mark || a%(pageSlots/2) != 0 && got != int32(a) {
+						t.Errorf("worker %d round %d: slot %d reads %d", g, round, a, got)
+						return
+					}
+				}
+				if c.Equal(master) {
+					t.Error("written clone still equals the master")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !master.Equal(want) || master.Touched() != 4*pageSlots || !slices.Equal(master.Read(9*pageSlots), make([]int32, 4)) {
+		t.Fatal("master changed by its clones' writes")
+	}
+}
+
+func TestStoreCloneWritesBackInPlace(t *testing.T) {
+	// Once one side has copied a shared page, the other side is its
+	// slab's only holder and writes it in place.
+	s := NewStore(8)
+	v := make([]int32, 8)
+	s.Write(5, v)
+	c := s.Clone()
+	s.Write(5, []int32{1, 2, 3, 4, 5, 6, 7, 8}) // copies the page
+	if n := testing.AllocsPerRun(20, func() { c.Write(5, v) }); n != 0 {
+		t.Fatalf("write to a page the other side already copied allocated %.1f/op, want 0", n)
+	}
+	if s.Equal(c) {
+		t.Fatal("diverged stores compare equal")
+	}
+}
+
 func TestStoreWriteAllocs(t *testing.T) {
 	s := NewStore(8)
 	v := []int32{1, 2, 3, 4, 5, 6, 7, 8}
@@ -220,17 +285,22 @@ func TestStoreWriteAllocs(t *testing.T) {
 }
 
 func TestStoreCloneAllocs(t *testing.T) {
-	const pages = 16
-	s := NewStore(8)
-	v := make([]int32, 8)
-	for a := isa.Addr(0); a < pages*pageSlots; a++ {
-		s.Write(a, v)
-	}
-	// One allocation per page plus a constant few for the store itself
-	// (header, page index, page list).
-	if n := testing.AllocsPerRun(20, func() { _ = s.Clone() }); n > pages+8 {
-		t.Fatalf("Clone of %d pages (%d slots) allocated %.0f/op, want at most one per page plus 8",
-			pages, s.Touched(), n)
+	// A clone shares every slab and the page index: it allocates its
+	// header and its page table, whatever the page count. CloneInto a
+	// store whose table is already large enough allocates nothing.
+	for _, pages := range []int{1, 16, 2048} {
+		s := NewStore(8)
+		v := make([]int32, 8)
+		for a := isa.Addr(0); a < isa.Addr(pages*pageSlots); a += pageSlots / 4 {
+			s.Write(a, v)
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = s.Clone() }); n > 2 {
+			t.Fatalf("Clone of %d pages allocated %.0f/op, want at most 2", pages, n)
+		}
+		dst := s.Clone()
+		if n := testing.AllocsPerRun(20, func() { _ = s.CloneInto(dst) }); n != 0 {
+			t.Fatalf("CloneInto a grown store of %d pages allocated %.0f/op, want 0", pages, n)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"orderlight/internal/cache"
 	"orderlight/internal/config"
@@ -23,6 +25,11 @@ import (
 // SMs, per-channel interconnect pipes, L2 slices with sub-partitions,
 // L2-to-DRAM pipes, and memory controllers with PIM units. It owns the
 // dual-clock engine and the completion/verification logic.
+//
+// A machine is reusable: Reset rebuilds it for a new run in the
+// buffers of the last one, and NewMachine is a Reset of a zero
+// Machine. Acquire and Release keep reset machines in a process-wide
+// pool.
 type Machine struct {
 	cfg      config.Config
 	geom     dram.Geometry
@@ -32,8 +39,12 @@ type Machine struct {
 	initial  *dram.Store // replayed into the reference image by Verify
 	replayed bool        // initial already holds the reference image
 	programs []Program
+	ref      pim.Unit // Verify's reference executor
+	dirty    bool     // a Run started and has not completed cleanly
 
 	hosts  []host
+	sms    []*SM       // SIMT front ends built so far, reused by Reset
+	cores  []*OoOCore  // OoO front ends built so far, reused by Reset
 	icnt   []*noc.Link // SM -> L2 interconnect, one per channel
 	slices []*cache.Slice
 	l2dram []*sim.Pipe[isa.Request] // L2 -> DRAM scheduler, one per channel
@@ -41,6 +52,7 @@ type Machine struct {
 	acks   *sim.Pipe[int] // issued-to-DRAM acknowledgments (warp ids)
 	ft     *core.FenceTracker
 	nextID uint64
+	seen   []bool // Reset's scratch: channels that already have a program
 
 	tracer  *trace.Tracer  // optional; see SetTracer
 	sink    obs.Sink       // optional; see SetSink
@@ -50,7 +62,7 @@ type Machine struct {
 	abort func() bool // cooperative abort poll; see SetAbort
 
 	host        HostTraffic
-	hostRng     *sim.Rand
+	hostRng     sim.Rand
 	hostLeft    []int // per channel, requests still to inject
 	hostPending int   // injected but not yet serviced
 	hostSent    map[uint64]sim.Time
@@ -85,93 +97,215 @@ type HostTraffic struct {
 
 // NewMachine builds the machine. The store holds the initial memory
 // image; it is mutated by the run. Each program drives one distinct
-// channel.
+// channel. It is a Reset of a zero Machine.
 func NewMachine(cfg config.Config, store *dram.Store, programs []Program) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	m := new(Machine)
+	if err := m.Reset(cfg, store, programs); err != nil {
 		return nil, err
 	}
-	if cfg.Host.Kind != config.HostCPU && len(programs) > cfg.GPU.PIMSMs*cfg.GPU.WarpsPerSM {
-		return nil, fmt.Errorf("gpu: %d programs exceed %d PIM warps", len(programs), cfg.GPU.PIMSMs*cfg.GPU.WarpsPerSM)
+	return m, nil
+}
+
+// machines is the process-wide pool behind Acquire and Release: a
+// free list of at most GOMAXPROCS idle machines. It is not a
+// sync.Pool, whose per-P slots miss whenever a cell's goroutine runs on
+// another P than the last one's and which every GC empties, so most
+// cells would build afresh.
+var machines struct {
+	sync.Mutex
+	free []*Machine
+}
+
+// Acquire returns a pooled machine Reset for the given run: the same
+// machine NewMachine would build, in the buffers of an earlier one.
+// Hand it back with Release once nothing reads it any more.
+func Acquire(cfg config.Config, store *dram.Store, programs []Program) (*Machine, error) {
+	var m *Machine
+	machines.Lock()
+	if n := len(machines.free); n > 0 {
+		m = machines.free[n-1]
+		machines.free[n-1] = nil
+		machines.free = machines.free[:n-1]
 	}
-	seen := make(map[int]bool)
+	machines.Unlock()
+	if m == nil {
+		m = new(Machine)
+	}
+	if err := m.Reset(cfg, store, programs); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Release returns m to the pool behind Acquire. The caller must not use
+// m, or anything read from its internals, afterwards; the statistics
+// and the store stay the caller's. A machine whose Run failed,
+// panicked or never finished is dropped instead: only a machine known
+// to be in a clean state is reused.
+func (m *Machine) Release() {
+	if m.dirty {
+		return
+	}
+	// Drop every reference to the caller's data, so an idle machine in
+	// the pool keeps no image or program alive.
+	m.st, m.store, m.programs = nil, nil, nil
+	m.tracer, m.sink, m.sampler, m.fplan, m.abort = nil, nil, nil, nil, nil
+	m.initial.Release()
+	for ch, mc := range m.mcs {
+		mc.Unit().Reset(ch, 0, m.initial)
+	}
+	for _, sm := range m.sms {
+		for _, w := range sm.warps[:cap(sm.warps)] {
+			if w != nil {
+				w.prog = nil
+			}
+		}
+	}
+	for _, c := range m.cores {
+		c.w.prog = nil
+	}
+	machines.Lock()
+	if len(machines.free) < runtime.GOMAXPROCS(0) {
+		machines.free = append(machines.free, m)
+	}
+	machines.Unlock()
+}
+
+// validate checks a run's inputs against the configuration before Reset
+// changes anything, and returns the run's geometry.
+func (m *Machine) validate(cfg config.Config, store *dram.Store, programs []Program) (dram.Geometry, error) {
+	if err := cfg.Validate(); err != nil {
+		return dram.Geometry{}, err
+	}
+	if cfg.Host.Kind != config.HostCPU && len(programs) > cfg.GPU.PIMSMs*cfg.GPU.WarpsPerSM {
+		return dram.Geometry{}, fmt.Errorf("gpu: %d programs exceed %d PIM warps", len(programs), cfg.GPU.PIMSMs*cfg.GPU.WarpsPerSM)
+	}
+	m.seen = sim.Resize(m.seen, cfg.Memory.Channels)
+	clear(m.seen)
 	for _, p := range programs {
 		if p.Channel < 0 || p.Channel >= cfg.Memory.Channels {
-			return nil, fmt.Errorf("gpu: program channel %d out of range", p.Channel)
+			return dram.Geometry{}, fmt.Errorf("gpu: program channel %d out of range", p.Channel)
 		}
-		if seen[p.Channel] {
-			return nil, fmt.Errorf("gpu: two programs drive channel %d (one warp per PIM unit, §5.4)", p.Channel)
+		if m.seen[p.Channel] {
+			return dram.Geometry{}, fmt.Errorf("gpu: two programs drive channel %d (one warp per PIM unit, §5.4)", p.Channel)
 		}
-		seen[p.Channel] = true
+		m.seen[p.Channel] = true
 		for i, in := range p.Instrs {
 			if in.Group < 0 || in.Group >= cfg.Memory.GroupsPerChannel {
-				return nil, fmt.Errorf("gpu: channel %d instruction %d (%v) names memory-group %d, config has %d",
+				return dram.Geometry{}, fmt.Errorf("gpu: channel %d instruction %d (%v) names memory-group %d, config has %d",
 					p.Channel, i, in, in.Group, cfg.Memory.GroupsPerChannel)
 			}
 			for _, g := range in.XGroups {
 				if int(g) >= cfg.Memory.GroupsPerChannel {
-					return nil, fmt.Errorf("gpu: channel %d instruction %d (%v) orders extension memory-group %d, config has %d",
+					return dram.Geometry{}, fmt.Errorf("gpu: channel %d instruction %d (%v) orders extension memory-group %d, config has %d",
 						p.Channel, i, in, g, cfg.Memory.GroupsPerChannel)
 				}
 			}
 		}
 	}
+	geom := geometry(cfg)
+	if store.Lanes() != geom.LanesPerSlot {
+		return dram.Geometry{}, fmt.Errorf("gpu: store has %d lanes per slot, geometry needs %d", store.Lanes(), geom.LanesPerSlot)
+	}
+	return geom, nil
+}
 
-	geom := dram.NewGeometry(cfg.Memory.Channels, cfg.Memory.BanksPerChannel,
+// geometry is the slot geometry of a configuration.
+func geometry(cfg config.Config) dram.Geometry {
+	return dram.NewGeometry(cfg.Memory.Channels, cfg.Memory.BanksPerChannel,
 		cfg.Memory.RowBufferBytes, cfg.Memory.BusWidthBytes,
 		cfg.Memory.GroupsPerChannel, cfg.PIM.BMF)
-	if store.Lanes() != geom.LanesPerSlot {
-		return nil, fmt.Errorf("gpu: store has %d lanes per slot, geometry needs %d", store.Lanes(), geom.LanesPerSlot)
-	}
+}
 
-	m := &Machine{
-		cfg:      cfg,
-		geom:     geom,
-		st:       stats.New(cfg.BytesPerCommand()),
-		eng:      sim.NewEngine(),
-		store:    store,
-		initial:  store.Clone(),
-		programs: programs,
-		ft:       core.NewFenceTracker(len(programs)),
-		acks:     sim.NewPipe[int](sim.Time(cfg.GPU.AckLatency)*sim.CoreTicks, 0),
+// Reset rebuilds the machine for a new run, exactly as NewMachine
+// would, reusing the queues, pipes, links, tag arrays, trackers, PIM
+// units and clock engine of the previous run where their sizes allow.
+// The run gets a fresh statistics record. Everything the previous run
+// armed is disarmed: tracer, sink, sampler, fault plan, abort poll,
+// host traffic and dense mode. Invalid inputs are rejected before
+// anything changes.
+func (m *Machine) Reset(cfg config.Config, store *dram.Store, programs []Program) error {
+	geom, err := m.validate(cfg, store, programs)
+	if err != nil {
+		return err
 	}
+	m.cfg, m.geom, m.store, m.programs = cfg, geom, store, programs
+	m.st = stats.New(cfg.BytesPerCommand())
+	if m.initial == nil {
+		m.initial = new(dram.Store)
+	}
+	store.CloneInto(m.initial)
+	m.replayed, m.dirty, m.nextID = false, false, 0
+	if m.ft == nil {
+		m.ft = new(core.FenceTracker)
+		m.acks = new(sim.Pipe[int])
+	}
+	m.ft.Reset(len(programs))
+	m.acks.Reset(sim.Time(cfg.GPU.AckLatency)*sim.CoreTicks, 0)
 
 	// Memory-side plumbing, one lane per channel.
-	tagLines := cfg.GPU.L2SizeMB << 20 / cfg.Memory.Channels / cfg.Memory.BusWidthBytes
-	for ch := 0; ch < cfg.Memory.Channels; ch++ {
-		m.icnt = append(m.icnt, noc.NewLink(cfg.GPU.IcntRoutes,
-			sim.Time(cfg.GPU.InterconnectToL2)*sim.CoreTicks, 64/cfg.GPU.IcntRoutes+1))
-		slice := cache.NewSlice(ch, geom, cfg.GPU.L2SubPartitions, tagLines)
-		slice.OnHostHit = func(r isa.Request) { m.completeHost(r) }
-		m.slices = append(m.slices, slice)
-		m.l2dram = append(m.l2dram, sim.NewPipe[isa.Request](sim.Time(cfg.GPU.L2ToDRAM)*sim.CoreTicks, cfg.GPU.L2QueueSize))
-		mc := memctrl.New(ch, cfg, geom, store, m.st)
-		mc.OnIssue = m.onIssue
-		m.mcs = append(m.mcs, mc)
+	nch := cfg.Memory.Channels
+	tagLines := cfg.GPU.L2SizeMB << 20 / nch / cfg.Memory.BusWidthBytes
+	m.icnt, m.slices = sim.Resize(m.icnt, nch), sim.Resize(m.slices, nch)
+	m.l2dram, m.mcs = sim.Resize(m.l2dram, nch), sim.Resize(m.mcs, nch)
+	for ch := 0; ch < nch; ch++ {
+		if m.icnt[ch] == nil {
+			m.icnt[ch] = new(noc.Link)
+			m.slices[ch] = new(cache.Slice)
+			m.slices[ch].OnHostHit = func(r isa.Request) { m.completeHost(r) }
+			m.l2dram[ch] = new(sim.Pipe[isa.Request])
+			m.mcs[ch] = new(memctrl.Controller)
+			m.mcs[ch].OnIssue = m.onIssue
+		}
+		m.icnt[ch].Reset(cfg.GPU.IcntRoutes, sim.Time(cfg.GPU.InterconnectToL2)*sim.CoreTicks, 64/cfg.GPU.IcntRoutes+1)
+		m.slices[ch].Reset(ch, geom, cfg.GPU.L2SubPartitions, tagLines)
+		m.l2dram[ch].Reset(sim.Time(cfg.GPU.L2ToDRAM)*sim.CoreTicks, cfg.GPU.L2QueueSize)
+		m.mcs[ch].Reset(ch, cfg, geom, store, m.st)
 	}
 
 	// Build the host front end: SIMT SMs (warps distributed WarpsPerSM
 	// per SM) or one OoO CPU core per channel program (§9 extension).
+	m.hosts = m.hosts[:0]
 	switch cfg.Host.Kind {
 	case config.HostCPU:
+		m.cores = sim.Resize(m.cores, max(len(m.cores), len(programs)))
 		for i, p := range programs {
-			m.hosts = append(m.hosts, newOoOCore(i, cfg, geom, m.st, p, m.ft, &m.nextID, m.send))
+			if m.cores[i] == nil {
+				m.cores[i] = &OoOCore{send: m.send, nextID: &m.nextID}
+			}
+			m.cores[i].reset(i, cfg, geom, m.st, p, m.ft)
+			m.hosts = append(m.hosts, m.cores[i])
 		}
 	default:
 		warpsPerSM := cfg.GPU.WarpsPerSM
-		for smID := 0; smID*warpsPerSM < len(programs); smID++ {
-			var ws []*warp
-			for wi := smID * warpsPerSM; wi < (smID+1)*warpsPerSM && wi < len(programs); wi++ {
-				ws = append(ws, &warp{id: wi, channel: programs[wi].Channel, prog: programs[wi].Instrs})
+		nsm := (len(programs) + warpsPerSM - 1) / warpsPerSM
+		m.sms = sim.Resize(m.sms, max(len(m.sms), nsm))
+		for smID := 0; smID < nsm; smID++ {
+			if m.sms[smID] == nil {
+				m.sms[smID] = &SM{send: m.send, nextID: &m.nextID}
 			}
-			m.hosts = append(m.hosts, newSM(smID, cfg, geom, m.st, ws, m.ft, &m.nextID, m.send))
+			sm := m.sms[smID]
+			sm.reset(smID, cfg, geom, m.st, m.ft)
+			for wi := smID * warpsPerSM; wi < (smID+1)*warpsPerSM && wi < len(programs); wi++ {
+				sm.addWarp(wi, programs[wi])
+			}
+			m.hosts = append(m.hosts, sm)
 		}
 	}
 
-	coreClk := m.eng.AddClock("core", sim.CoreTicks)
-	memClk := m.eng.AddClock("mem", sim.MemTicks)
-	coreClk.Register(coreDomain{m})
-	memClk.Register(memDomain{m})
-	return m, nil
+	if m.eng == nil {
+		m.eng = sim.NewEngine()
+		m.eng.AddClock("core", sim.CoreTicks).Register(coreDomain{m})
+		m.eng.AddClock("mem", sim.MemTicks).Register(memDomain{m})
+	}
+	m.eng.Reset()
+
+	m.tracer, m.sink, m.sampler, m.fplan, m.abort = nil, nil, nil, nil, nil
+	m.host, m.hostRng = HostTraffic{}, sim.Rand{}
+	m.hostLeft, m.hostHeld = m.hostLeft[:0], m.hostHeld[:0]
+	m.hostPending, m.hostLatency, m.hostServed = 0, 0, 0
+	clear(m.hostSent)
+	return nil
 }
 
 // coreDomain adapts the machine's core-clock tick to sim.Worker and
@@ -418,12 +552,14 @@ func stageTrack(stage trace.Stage, r isa.Request) obs.Track {
 // called before Run.
 func (m *Machine) SetHostTraffic(ht HostTraffic) {
 	m.host = ht
-	m.hostRng = sim.NewRand(m.cfg.Run.Seed ^ 0x4057_1a21)
-	m.hostLeft = make([]int, m.cfg.Memory.Channels)
+	m.hostRng = *sim.NewRand(m.cfg.Run.Seed ^ 0x4057_1a21)
+	m.hostLeft = sim.Resize(m.hostLeft, m.cfg.Memory.Channels)
 	for ch := range m.hostLeft {
 		m.hostLeft[ch] = ht.PerChannel
 	}
-	m.hostSent = make(map[uint64]sim.Time)
+	if m.hostSent == nil {
+		m.hostSent = make(map[uint64]sim.Time)
+	}
 }
 
 // HostLatency returns the mean core-to-DRAM-issue latency of serviced
@@ -689,6 +825,7 @@ func (m *Machine) runWindowed(deadline sim.Time) error {
 // When an abort poll is armed the run is driven in windows (see
 // runWindowed); otherwise it takes the plain engine path.
 func (m *Machine) Run() (*stats.Run, error) {
+	m.dirty = true
 	deadline := sim.Time(m.cfg.Run.DeadlineMS / 1e3 * sim.BaseTickHz)
 	m.st.Start = m.eng.Now()
 	var err error
@@ -709,6 +846,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 			return m.st, err
 		}
 	}
+	m.dirty = false
 	return m.st, nil
 }
 
@@ -720,12 +858,8 @@ func (m *Machine) Run() (*stats.Run, error) {
 // it recurs on every call.
 func (m *Machine) Verify() error {
 	if !m.replayed {
-		nslots := m.cfg.CommandsPerTile() * m.cfg.Memory.GroupsPerChannel
-		for _, p := range m.programs {
-			reqs := ExpandProgram(m.geom, m.cfg.CommandsPerTile(), p)
-			if err := pim.Replay(m.initial, p.Channel, nslots, reqs); err != nil {
-				return fmt.Errorf("gpu: reference replay failed: %w", err)
-			}
+		if err := replay(&m.ref, m.cfg, m.geom, m.initial, m.programs); err != nil {
+			return fmt.Errorf("gpu: reference replay failed: %w", err)
 		}
 		m.replayed = true
 	}
@@ -733,6 +867,28 @@ func (m *Machine) Verify() error {
 	m.st.Correct = m.store.Equal(m.initial)
 	if !m.st.Correct {
 		m.st.DiffSlots = len(m.store.Diff(m.initial, 1<<20))
+	}
+	return nil
+}
+
+// Replay runs every program, in program order, through the reference
+// PIM executor over store, turning an initial image into the golden
+// one. It is what Verify does, for callers without a machine.
+func Replay(cfg config.Config, store *dram.Store, programs []Program) error {
+	return replay(new(pim.Unit), cfg, geometry(cfg), store, programs)
+}
+
+// replay streams each program's requests into u, reset for that
+// program's channel with zeroed temporary storage, without
+// materializing the request sequence.
+func replay(u *pim.Unit, cfg config.Config, geom dram.Geometry, store *dram.Store, programs []Program) error {
+	n := cfg.CommandsPerTile()
+	nslots := n * cfg.Memory.GroupsPerChannel
+	for _, p := range programs {
+		u.Reset(p.Channel, nslots, store)
+		if err := eachRequest(geom, n, p, u.Apply); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -755,12 +911,27 @@ func ExpandProgram(geom dram.Geometry, n int, p Program) []isa.Request {
 		return nil
 	}
 	out := make([]isa.Request, 0, size)
+	_ = eachRequest(geom, n, p, func(r isa.Request) error {
+		out = append(out, r)
+		return nil
+	})
+	return out
+}
+
+// eachRequest calls fn on a warp program's requests in program order,
+// stopping at fn's first error: the expansion ExpandProgram collects
+// and replay streams.
+func eachRequest(geom dram.Geometry, n int, p Program, fn func(isa.Request) error) error {
 	for _, in := range p.Instrs {
 		switch in.Kind {
 		case isa.KindFence:
-			out = append(out, isa.Request{Kind: isa.KindFence, Channel: uint8(p.Channel)})
+			if err := fn(isa.Request{Kind: isa.KindFence, Channel: uint8(p.Channel)}); err != nil {
+				return err
+			}
 		case isa.KindOrderLight:
-			out = append(out, isa.Request{Kind: isa.KindOrderLight, Channel: uint8(p.Channel), Group: uint8(in.Group)})
+			if err := fn(isa.Request{Kind: isa.KindOrderLight, Channel: uint8(p.Channel), Group: uint8(in.Group)}); err != nil {
+				return err
+			}
 		default:
 			for lane := 0; lane < in.Count; lane++ {
 				r := isa.Request{
@@ -774,9 +945,11 @@ func ExpandProgram(geom dram.Geometry, n int, p Program) []isa.Request {
 					r.Group = uint8(geom.GroupOf(loc.Bank))
 				}
 				r.TSlot = uint16(int(r.Group)*n + (in.TSlot+lane)%n)
-				out = append(out, r)
+				if err := fn(r); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return out
+	return nil
 }

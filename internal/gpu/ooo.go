@@ -52,7 +52,7 @@ type OoOCore struct {
 	window []isa.Request
 	rs     *core.CollectorCounter // unissued PIM requests per (channel, group)
 	ft     *core.FenceTracker
-	rng    *sim.Rand
+	rng    sim.Rand
 
 	send   func(r isa.Request) bool
 	nextID *uint64
@@ -63,22 +63,18 @@ type OoOCore struct {
 	fault *fault.Plan
 }
 
-// newOoOCore builds one CPU core driving the given channel's program.
-func newOoOCore(id int, cfg config.Config, geom dram.Geometry, st *stats.Run,
-	prog Program, ft *core.FenceTracker, nextID *uint64, send func(isa.Request) bool) *OoOCore {
-	return &OoOCore{
-		id:       id,
-		cfg:      cfg,
-		geom:     geom,
-		tileCmds: cfg.CommandsPerTile(),
-		st:       st,
-		w:        warp{id: id, channel: prog.Channel, prog: prog.Instrs},
-		rs:       core.NewCollectorCounterBudget(geom.Channels, geom.Groups, cfg.GPU.CollectorTags),
-		ft:       ft,
-		rng:      sim.NewRand(cfg.Run.Seed ^ 0x0002_a0c0 ^ uint64(id)<<40),
-		send:     send,
-		nextID:   nextID,
+// reset prepares the core for a new run of prog, keeping its window and
+// counters. The fault plan is disarmed.
+func (c *OoOCore) reset(id int, cfg config.Config, geom dram.Geometry, st *stats.Run, prog Program, ft *core.FenceTracker) {
+	c.id, c.cfg, c.geom, c.tileCmds, c.st, c.ft = id, cfg, geom, cfg.CommandsPerTile(), st, ft
+	c.w = warp{id: id, channel: prog.Channel, prog: prog.Instrs}
+	c.window = c.window[:0]
+	if c.rs == nil {
+		c.rs = new(core.CollectorCounter)
 	}
+	c.rs.Reset(geom.Channels, geom.Groups, cfg.GPU.CollectorTags)
+	c.rng = *sim.NewRand(cfg.Run.Seed ^ 0x0002_a0c0 ^ uint64(id)<<40)
+	c.fault = nil
 }
 
 // Done reports whether the core retired its program and drained its

@@ -35,8 +35,9 @@ func newTestCore(cfg config.Config, tiles int, send func(isa.Request) bool) (*Oo
 	_, programs := vectorAddSetup(cfg, tiles)
 	st := &stats.Run{}
 	ft := core.NewFenceTracker(1)
-	var nextID uint64
-	return newOoOCore(0, cfg, geomOf(cfg), st, programs[0], ft, &nextID, send), ft, st
+	c := &OoOCore{send: send, nextID: new(uint64)}
+	c.reset(0, cfg, geomOf(cfg), st, programs[0], ft)
+	return c, ft, st
 }
 
 // TestOoOCoreWindowReplayUnderBackpressure drives the reservation

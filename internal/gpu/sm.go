@@ -91,25 +91,34 @@ type SM struct {
 	skipScratch []int // active-warp index buffer reused by Skip
 }
 
-// newSM builds an SM hosting the given warps.
-func newSM(id int, cfg config.Config, geom dram.Geometry, st *stats.Run,
-	warps []*warp, ft *core.FenceTracker, nextID *uint64, send func(isa.Request) bool) *SM {
-	return &SM{
-		id:       id,
-		cfg:      cfg,
-		geom:     geom,
-		tileCmds: cfg.CommandsPerTile(),
-		st:       st,
-		warps:    warps,
-		// Preallocated to its bound so the append/shift cycle of the
-		// collector never reallocates.
-		collector: make([]collectorEntry, 0, cfg.GPU.CollectorUnits),
-		ldst:      sim.NewQueue[isa.Request](cfg.GPU.LDSTQueueSize),
-		cc:        core.NewCollectorCounterBudget(geom.Channels, geom.Groups, cfg.GPU.CollectorTags),
-		ft:        ft,
-		send:      send,
-		nextID:    nextID,
+// reset prepares the SM for a new run with no warps (addWarp adds
+// them), keeping its warp records, collector, LDST queue and counters.
+// The sink and the fault plan are disarmed.
+func (s *SM) reset(id int, cfg config.Config, geom dram.Geometry, st *stats.Run, ft *core.FenceTracker) {
+	s.id, s.cfg, s.geom, s.tileCmds, s.st, s.ft = id, cfg, geom, cfg.CommandsPerTile(), st, ft
+	s.warps, s.rr = s.warps[:0], 0
+	// Sized to its bound so the append/shift cycle of the collector
+	// never reallocates.
+	if cap(s.collector) < cfg.GPU.CollectorUnits {
+		s.collector = make([]collectorEntry, 0, cfg.GPU.CollectorUnits)
 	}
+	s.collector = s.collector[:0]
+	if s.ldst == nil {
+		s.ldst, s.cc = new(sim.Queue[isa.Request]), new(core.CollectorCounter)
+	}
+	s.ldst.Reset(cfg.GPU.LDSTQueueSize)
+	s.cc.Reset(geom.Channels, geom.Groups, cfg.GPU.CollectorTags)
+	s.sink, s.fault = nil, nil
+}
+
+// addWarp gives the SM a warp running program p.
+func (s *SM) addWarp(id int, p Program) {
+	n := len(s.warps)
+	s.warps = sim.Resize(s.warps, n+1)
+	if s.warps[n] == nil {
+		s.warps[n] = new(warp)
+	}
+	*s.warps[n] = warp{id: id, channel: p.Channel, prog: p.Instrs}
 }
 
 // Done reports whether every warp has retired its program and all

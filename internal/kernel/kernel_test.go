@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"orderlight/internal/config"
@@ -471,5 +473,25 @@ func TestHostTimeScalesWithBytes(t *testing.T) {
 	k2, _ := Build(cfg, spec, 32*1024)
 	if !(k2.HostTime(cfg) > k1.HostTime(cfg)) {
 		t.Fatal("host roofline time must grow with footprint")
+	}
+}
+
+func TestByNameDoesNotAliasRegistry(t *testing.T) {
+	a, err := ByName("daxpy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(a.Phases)
+	a.Phases[0].Name, a.Phases[0].CmdsPerN = "mutated", 99
+	a.Phases = append(a.Phases[:1], PhaseSpec{Name: "extra"})
+	b, err := ByName("daxpy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(b.Phases, want) {
+		t.Fatalf("second ByName returned phases %+v, want the original %+v", b.Phases, want)
+	}
+	if fresh := All(); !reflect.DeepEqual(fresh[2], b) {
+		t.Fatalf("ByName(daxpy) = %+v, want the Table 2 spec %+v", b, fresh[2])
 	}
 }

@@ -17,6 +17,8 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"orderlight/internal/isa"
 	"orderlight/internal/olerrors"
@@ -280,11 +282,16 @@ func Apps() []Spec {
 // All returns every Table 2 kernel: stream first, then applications.
 func All() []Spec { return append(Stream(), Apps()...) }
 
-// ByName finds a kernel spec by its name. A miss is reported wrapping
+// registry is All, built once for ByName and Names.
+var registry = sync.OnceValue(All)
+
+// ByName finds a kernel spec by its name. The spec is the caller's own:
+// its Phases do not alias the registry. A miss is reported wrapping
 // olerrors.ErrUnknownKernel.
 func ByName(name string) (Spec, error) {
-	for _, s := range All() {
+	for _, s := range registry() {
 		if s.Name == name {
+			s.Phases = slices.Clone(s.Phases)
 			return s, nil
 		}
 	}
@@ -293,7 +300,7 @@ func ByName(name string) (Spec, error) {
 
 // Names lists every kernel name in registry order.
 func Names() []string {
-	all := All()
+	all := registry()
 	out := make([]string, len(all))
 	for i, s := range all {
 		out[i] = s.Name

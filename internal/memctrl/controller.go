@@ -94,37 +94,46 @@ const never = int64(^uint64(0) >> 1)
 
 // New creates the controller for one channel.
 func New(channel int, cfg config.Config, geom dram.Geometry, store *dram.Store, st *stats.Run) *Controller {
-	c := &Controller{
-		channel: channel,
-		geom:    geom,
-		timing:  dram.NewTiming(cfg.Memory.Timing, geom.Banks),
-		unit:    pim.NewUnit(channel, cfg.CommandsPerTile()*cfg.Memory.GroupsPerChannel, store),
-		tracker: core.NewTracker(geom.Groups),
-		conv:    core.NewConverge(2, cfg.GPU.RWQueueSize),
-		txq:     make([]txEntry, 0, cfg.GPU.RWQueueSize),
-		txqCap:  cfg.GPU.RWQueueSize,
-		st:      st,
-		seqno:   cfg.Run.Primitive == config.PrimitiveSeqno,
-		fcfs:    cfg.Memory.Sched == config.SchedFCFS,
-
-		refreshOn:   cfg.Memory.RefreshEnabled,
-		refi:        int64(cfg.Memory.REFI),
-		rfc:         int64(cfg.Memory.RFC),
-		nextRefresh: int64(cfg.Memory.REFI),
-	}
-	c.div = &core.Diverge{
-		NPaths: 2,
-		Route: func(r isa.Request) int {
-			if r.Kind.IsWrite() {
-				return pathWrite
-			}
-			return pathRead
-		},
-		// An OrderLight packet must visit both queues regardless of
-		// group: either queue may hold older requests of its group.
-		GroupPaths: func(int) []int { return rwPaths },
-	}
+	c := new(Controller)
+	c.Reset(channel, cfg, geom, store, st)
 	return c
+}
+
+// Reset returns the controller to its initial state for a new run over
+// the given store and statistics, keeping its timing banks, PIM unit,
+// tracker, queues and working set. OnIssue stays armed; IssueLog, Sink
+// and Fault are disarmed.
+func (c *Controller) Reset(channel int, cfg config.Config, geom dram.Geometry, store *dram.Store, st *stats.Run) {
+	if c.div == nil {
+		c.div = &core.Diverge{
+			NPaths: 2,
+			Route: func(r isa.Request) int {
+				if r.Kind.IsWrite() {
+					return pathWrite
+				}
+				return pathRead
+			},
+			// An OrderLight packet must visit both queues regardless of
+			// group: either queue may hold older requests of its group.
+			GroupPaths: func(int) []int { return rwPaths },
+		}
+		c.timing, c.unit, c.tracker, c.conv = new(dram.Timing), new(pim.Unit), new(core.Tracker), new(core.Converge)
+	}
+	c.timing.Reset(cfg.Memory.Timing, geom.Banks)
+	c.unit.Reset(channel, cfg.CommandsPerTile()*cfg.Memory.GroupsPerChannel, store)
+	c.tracker.Reset(geom.Groups)
+	c.conv.Reset(2, cfg.GPU.RWQueueSize)
+	if cap(c.txq) < cfg.GPU.RWQueueSize {
+		c.txq = make([]txEntry, 0, cfg.GPU.RWQueueSize)
+	}
+	c.txq = c.txq[:0]
+	c.channel, c.geom, c.txqCap, c.st = channel, geom, cfg.GPU.RWQueueSize, st
+	c.seqno, c.nextSeq = cfg.Run.Primitive == config.PrimitiveSeqno, 0
+	c.fcfs = cfg.Memory.Sched == config.SchedFCFS
+	c.refreshOn = cfg.Memory.RefreshEnabled
+	c.refi, c.rfc = int64(cfg.Memory.REFI), int64(cfg.Memory.RFC)
+	c.nextRefresh, c.refreshUntil, c.draining = int64(cfg.Memory.REFI), 0, false
+	c.IssueLog, c.Sink, c.Fault = nil, nil, nil
 }
 
 // Unit exposes the channel's PIM unit (for result verification).

@@ -21,14 +21,26 @@ type Link struct {
 // NewLink creates a link with the given number of parallel routes, each
 // with the same transport latency and per-route capacity.
 func NewLink(routes int, latency sim.Time, capPerRoute int) *Link {
+	l := new(Link)
+	l.Reset(routes, latency, capPerRoute)
+	return l
+}
+
+// Reset empties the link and reshapes it, keeping the route pipes it
+// already has.
+func (l *Link) Reset(routes int, latency sim.Time, capPerRoute int) {
 	if routes < 1 {
 		panic("noc: link needs at least one route")
 	}
-	l := &Link{routes: make([]*sim.Pipe[isa.Request], routes)}
-	for i := range l.routes {
-		l.routes[i] = sim.NewPipe[isa.Request](latency, capPerRoute)
+	l.routes = sim.Resize(l.routes, routes)
+	for i, rt := range l.routes {
+		if rt == nil {
+			l.routes[i] = sim.NewPipe[isa.Request](latency, capPerRoute)
+		} else {
+			rt.Reset(latency, capPerRoute)
+		}
 	}
-	return l
+	l.rr, l.Merges = 0, 0
 }
 
 // Routes returns the number of parallel routes.

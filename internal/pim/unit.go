@@ -12,7 +12,8 @@ import (
 type Unit struct {
 	channel int
 	lanes   int
-	slots   [][]int32 // views into one slab
+	slab    []int32   // the TS slots, then the scratch buffer
+	slots   [][]int32 // views into slab
 	scratch []int32   // PIM_Scale result buffer, after the slots in the slab
 	store   *dram.Store
 
@@ -33,19 +34,32 @@ type deferredCmd struct {
 // NewUnit creates a PIM unit with nslots temporary-storage slots over
 // the given backing store.
 func NewUnit(channel, nslots int, store *dram.Store) *Unit {
-	lanes := store.Lanes()
-	slab := make([]int32, (nslots+1)*lanes)
-	u := &Unit{
-		channel: channel,
-		lanes:   lanes,
-		slots:   make([][]int32, nslots),
-		scratch: slab[nslots*lanes:],
-		store:   store,
-	}
-	for i := range u.slots {
-		u.slots[i] = slab[i*lanes : (i+1)*lanes : (i+1)*lanes]
-	}
+	u := new(Unit)
+	u.Reset(channel, nslots, store)
 	return u
+}
+
+// Reset gives the unit a new channel, slot count and backing store,
+// with every TS slot zeroed and nothing deferred. The slot slab is kept
+// when it is large enough.
+func (u *Unit) Reset(channel, nslots int, store *dram.Store) {
+	lanes := store.Lanes()
+	if n := (nslots + 1) * lanes; cap(u.slab) < n {
+		u.slab = make([]int32, n)
+	} else {
+		u.slab = u.slab[:n]
+		clear(u.slab)
+	}
+	if cap(u.slots) < nslots {
+		u.slots = make([][]int32, nslots)
+	}
+	u.slots = u.slots[:nslots]
+	for i := range u.slots {
+		u.slots[i] = u.slab[i*lanes : (i+1)*lanes : (i+1)*lanes]
+	}
+	u.channel, u.lanes, u.store = channel, lanes, store
+	u.scratch = u.slab[nslots*lanes:]
+	u.deferred = u.deferred[:0]
 }
 
 // Slots returns the temporary-storage capacity in slots.
@@ -132,15 +146,19 @@ func (u *Unit) NextDue() (int64, bool) {
 func Replay(store *dram.Store, channel, nslots int, reqs []isa.Request) error {
 	u := NewUnit(channel, nslots, store)
 	for _, r := range reqs {
-		if r.Kind == isa.KindOrderLight || r.Kind == isa.KindFence {
-			continue // ordering primitives are no-ops functionally
-		}
-		if !r.Kind.IsPIM() {
-			continue // host traffic does not touch PIM state
-		}
-		if err := u.Exec(r); err != nil {
+		if err := u.Apply(r); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Apply is one step of the reference executor: it executes a PIM
+// command and skips everything else, since ordering primitives are
+// functional no-ops and host traffic does not touch PIM state.
+func (u *Unit) Apply(r isa.Request) error {
+	if r.Kind == isa.KindOrderLight || r.Kind == isa.KindFence || !r.Kind.IsPIM() {
+		return nil
+	}
+	return u.Exec(r)
 }

@@ -22,6 +22,31 @@ func cellHash(c *Cell) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// cellID memoizes a cell's hash. Rendering the hash formats the whole
+// config and spec, so it is computed at most once per cell, and only
+// when the resume map, the journal or the retry backoff reads it.
+type cellID struct {
+	cell *Cell
+	sum  string // cellHash(cell), once computed
+}
+
+func (id *cellID) hash() string {
+	if id.sum == "" {
+		id.sum = cellHash(id.cell)
+	}
+	return id.sum
+}
+
+// journaled looks the cell up in a resumed sweep's completed cells,
+// hashing it only when there is a map to look in.
+func (id *cellID) journaled(done map[string]journalEntry) (journalEntry, bool) {
+	if done == nil {
+		return journalEntry{}, false
+	}
+	ent, ok := done[id.hash()]
+	return ent, ok
+}
+
 // replayJournal reconstructs a journal-completed cell's Result without
 // re-simulating. The kernel image is rebuilt (cached builds make this
 // cheap) because results carry generation metadata; the manifest, when
@@ -96,8 +121,8 @@ func (e *Engine) journalAppend(journal *cellJournal, ent journalEntry) {
 // runCellRetry drives one cell through the watchdog and the retry loop,
 // and journals the completed result. Retries rerun the cell from
 // scratch after an exponential backoff.
-func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *cellJournal) (Result, error) {
-	hash := cellHash(c)
+func (e *Engine) runCellRetry(ctx context.Context, id *cellID, journal *cellJournal) (Result, error) {
+	c := id.cell
 	cached := e.cacheArmed() && cacheableCell(c)
 	if cached {
 		if res, ok, err := e.lookupCache(c); err != nil {
@@ -108,7 +133,7 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *cellJournal
 				// later resume of this sweep replays it even without the
 				// cache directory.
 				e.journalAppend(journal, journalEntry{
-					Key: c.Key, Hash: hash, Run: res.Run,
+					Key: c.Key, Hash: id.hash(), Run: res.Run,
 					HostLatency: res.HostLatency, HostServed: res.HostServed,
 				})
 			}
@@ -126,7 +151,7 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *cellJournal
 			}
 			if journal != nil {
 				e.journalAppend(journal, journalEntry{
-					Key: c.Key, Hash: hash, Run: res.Run,
+					Key: c.Key, Hash: id.hash(), Run: res.Run,
 					HostLatency: res.HostLatency, HostServed: res.HostServed,
 					Fault: res.Fault,
 				})
@@ -136,7 +161,7 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *cellJournal
 		if attempt >= e.retries || !retryable(err) {
 			return Result{}, err
 		}
-		if serr := e.backoff(ctx, hash, attempt); serr != nil {
+		if serr := e.backoff(ctx, id.hash(), attempt); serr != nil {
 			return Result{}, serr
 		}
 	}

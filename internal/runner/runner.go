@@ -18,7 +18,6 @@ import (
 	"orderlight/internal/kernel"
 	"orderlight/internal/obs"
 	"orderlight/internal/olerrors"
-	"orderlight/internal/pim"
 	"orderlight/internal/rcache"
 	"orderlight/internal/stats"
 )
@@ -320,7 +319,8 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 						Err: fmt.Errorf("%w: %v", olerrors.ErrCanceled, cerr)})
 					continue
 				}
-				if ent, ok := doneCells[cellHash(&cells[i])]; ok {
+				id := cellID{cell: &cells[i]}
+				if ent, ok := id.journaled(doneCells); ok {
 					res, err := e.replayJournal(&cells[i], ent)
 					if err != nil {
 						finish(i, &CellError{Key: cells[i].Key, Index: i, Err: err})
@@ -330,7 +330,7 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 					finish(i, nil)
 					continue
 				}
-				res, err := e.runCellRetry(ctx, &cells[i], journal)
+				res, err := e.runCellRetry(ctx, &id, journal)
 				if err != nil {
 					finish(i, &CellError{Key: cells[i].Key, Index: i, Err: err})
 					continue
@@ -412,7 +412,7 @@ func (e *Engine) runCell(c *Cell, stop *atomic.Bool) (res Result, err error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := gpu.NewMachine(c.Cfg, k.Store, k.Programs)
+	m, err := gpu.Acquire(c.Cfg, k.Store, k.Programs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -443,6 +443,10 @@ func (e *Engine) runCell(c *Cell, stop *atomic.Bool) (res Result, err error) {
 			c.Spec.Name, c.Cfg.Run.Primitive, c.Cfg.PIM.TSBytes, err)
 	}
 	lat, served := m.HostLatency()
+	// Nothing below reads the machine: the statistics and the store
+	// are the cell's own. A failed or panicked run never gets here, so
+	// its machine is never reused.
+	m.Release()
 	res = Result{Run: st, Kernel: k, HostLatency: lat, HostServed: served}
 	if plan != nil {
 		v, oerr := e.classifyFault(c, k, st, plan)
@@ -489,12 +493,8 @@ func (e *Engine) classifyFault(c *Cell, k *kernel.Kernel, st *stats.Run, plan *f
 	if err != nil {
 		return fault.Verdict{}, fmt.Errorf("runner: fault oracle rebuild: %w", err)
 	}
-	nslots := c.Cfg.CommandsPerTile() * c.Cfg.Memory.GroupsPerChannel
-	for _, p := range gold.Programs {
-		reqs := gpu.ExpandProgram(gold.Geom, c.Cfg.CommandsPerTile(), p)
-		if err := pim.Replay(gold.Store, p.Channel, nslots, reqs); err != nil {
-			return fault.Verdict{}, fmt.Errorf("runner: fault oracle replay: %w", err)
-		}
+	if err := gpu.Replay(c.Cfg, gold.Store, gold.Programs); err != nil {
+		return fault.Verdict{}, fmt.Errorf("runner: fault oracle replay: %w", err)
 	}
 	return fault.Classify(gold.Store, k.Store, st, plan.Report()), nil
 }

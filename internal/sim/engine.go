@@ -31,6 +31,15 @@ type Engine struct {
 // NewEngine creates an engine with no clocks.
 func NewEngine() *Engine { return &Engine{} }
 
+// Reset rewinds the engine to time zero with every clock back at cycle
+// zero and dense mode off. Clocks and their tickers stay registered.
+func (e *Engine) Reset() {
+	e.now, e.dense = 0, false
+	for _, c := range e.clocks {
+		c.cycle, c.next, c.pending = 0, 0, 0
+	}
+}
+
 // AddClock creates and registers a clock domain with the given period.
 func (e *Engine) AddClock(name string, period Time) *Clock {
 	c := NewClock(name, period)

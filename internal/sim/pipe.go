@@ -26,11 +26,21 @@ type pipeEntry[T any] struct {
 // and capacity in entries. capacity <= 0 means unbounded. Bounded pipes
 // allocate their full backing store up front and never reallocate.
 func NewPipe[T any](latency Time, capacity int) *Pipe[T] {
-	p := &Pipe[T]{latency: latency, cap: capacity}
-	if capacity > 0 {
+	p := new(Pipe[T])
+	p.Reset(latency, capacity)
+	return p
+}
+
+// Reset empties the pipe and gives it a new latency and capacity. The
+// backing store is kept when it is large enough.
+func (p *Pipe[T]) Reset(latency Time, capacity int) {
+	if p.n > 0 {
+		clear(p.buf) // Pop zeroes what it takes; only leftovers need it
+	}
+	p.latency, p.cap, p.head, p.n = latency, capacity, 0, 0
+	if capacity > 0 && len(p.buf) < capacity {
 		p.buf = make([]pipeEntry[T], capacity)
 	}
-	return p
 }
 
 // Latency returns the transport latency in base ticks.
@@ -131,11 +141,21 @@ type Queue[T any] struct {
 // NewQueue creates a queue with the given capacity in entries. Bounded
 // queues allocate their full backing store up front.
 func NewQueue[T any](capacity int) *Queue[T] {
-	q := &Queue[T]{cap: capacity}
-	if capacity > 0 {
+	q := new(Queue[T])
+	q.Reset(capacity)
+	return q
+}
+
+// Reset empties the queue and gives it a new capacity. The backing
+// store is kept when it is large enough.
+func (q *Queue[T]) Reset(capacity int) {
+	if q.n > 0 {
+		clear(q.buf)
+	}
+	q.cap, q.head, q.n = capacity, 0, 0
+	if capacity > 0 && len(q.buf) < capacity {
 		q.buf = make([]T, capacity)
 	}
-	return q
 }
 
 // Len returns the number of queued entries.
@@ -218,4 +238,14 @@ func (q *Queue[T]) RemoveAt(i int) T {
 	var zero T
 	q.buf[(q.head+q.n)%m] = zero
 	return v
+}
+
+// Resize returns s with length n, reusing its backing array (and the
+// elements still in it) when the capacity suffices. Components use it
+// to keep their per-instance slices across resets.
+func Resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
