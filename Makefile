@@ -341,10 +341,11 @@ bench-compare:
 		echo "bench-compare: no prior BENCH_*.json trajectory point"; exit 0; fi; \
 	$(GO) run ./cmd/benchjson -compare -gate '$(BENCH_GATE)' $$prev $(BENCH_OUT).json
 
-# profile captures CPU and heap profiles of the heaviest steady
-# benchmark (whole-machine fence run); inspect with `go tool pprof`.
+# profile captures CPU and heap profiles of a sim-cold-shaped cell mix
+# (BenchmarkSimColdMix: the 12 Table 2 kernels under fence and
+# OrderLight at 16–256 KiB); inspect with `go tool pprof`.
 profile:
-	$(GO) test -run '^$$' -bench 'MachineAddFence$$' -benchtime=$(BENCHTIME) \
+	$(GO) test -run '^$$' -bench 'SimColdMix$$' -benchtime=$(BENCHTIME) \
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profile: wrote cpu.pprof and mem.pprof (go tool pprof cpu.pprof)"
 

@@ -224,6 +224,45 @@ func BenchmarkMachineAddFence(b *testing.B) {
 	}
 }
 
+// BenchmarkSimColdMix is shaped like perfbench's sim-cold workload: one
+// op simulates each of the 12 Table 2 kernels once under fence and once
+// under OrderLight on the Table 1 machine, with per-channel footprints
+// cycling over 16–256 KiB and TS sizes over the four swept fractions.
+// `make profile` profiles it.
+func BenchmarkSimColdMix(b *testing.B) {
+	footprints := []int64{16 << 10, 48 << 10, 112 << 10, 256 << 10}
+	type cell struct {
+		cfg   Config
+		name  string
+		bytes int64
+	}
+	var cells []cell
+	for _, name := range Kernels() {
+		for _, p := range []Primitive{PrimitiveFence, PrimitiveOrderLight} {
+			j := len(cells)
+			cfg := benchConfig().WithTSFraction(experiments.TSFractions[j/len(footprints)%len(experiments.TSFractions)])
+			cfg.Run.Primitive = p
+			cells = append(cells, cell{cfg, name, footprints[j%len(footprints)]})
+		}
+	}
+	var cycles int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			res, err := RunKernel(c.cfg, c.name, c.bytes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Correct {
+				b.Fatalf("%s/%v verified incorrect", c.name, c.cfg.Run.Primitive)
+			}
+			cycles += res.ExecTime().CoreCycles()
+		}
+	}
+	b.ReportMetric(float64(cycles)/1e3/b.Elapsed().Seconds(), "sim-kcycles/s")
+}
+
 // BenchmarkMachineAddOrderLightDense is the OrderLight machine run on
 // the dense reference engine.
 func BenchmarkMachineAddOrderLightDense(b *testing.B) {

@@ -40,6 +40,9 @@ type Tracker struct {
 	// per group, for the sanity checks / statistics the packet-number
 	// field exists for (§5.3.1). -1 until the first packet arrives.
 	lastPktNum []int64
+	// eligible is the number of requests, over all groups, in their
+	// group's oldest live epoch: exactly the requests CanIssue allows.
+	eligible int
 }
 
 type trackerGroup struct {
@@ -69,6 +72,7 @@ func (t *Tracker) Reset(nGroups int) {
 		t.groups[g].base = 0
 		t.lastPktNum[g] = -1
 	}
+	t.eligible = 0
 }
 
 // Arrive registers a request for the given group with the scheduler and
@@ -78,6 +82,9 @@ func (t *Tracker) Reset(nGroups int) {
 func (t *Tracker) Arrive(group int) Epoch {
 	g := &t.groups[group]
 	g.epochs[len(g.epochs)-1]++
+	if len(g.epochs) == 1 {
+		t.eligible++
+	}
 	return g.base + Epoch(len(g.epochs)-1)
 }
 
@@ -92,7 +99,7 @@ func (t *Tracker) OrderLight(group int, pktNum uint32) error {
 	g.epochs = append(g.epochs, 0)
 	// A packet over an already-drained epoch imposes no constraint: the
 	// paper's counter is already zero, so the flag clears immediately.
-	g.retire()
+	t.eligible += g.retire()
 	var err error
 	if last := t.lastPktNum[group]; last >= 0 && int64(pktNum) <= last {
 		err = fmt.Errorf("core: OrderLight packet number %d not increasing (last %d) in group %d",
@@ -125,21 +132,36 @@ func (t *Tracker) Issued(group int, e Epoch) {
 		panic(fmt.Sprintf("core: Issued on drained epoch %d of group %d", e, group))
 	}
 	g.epochs[idx]--
-	g.retire()
+	if idx == 0 {
+		t.eligible--
+	}
+	t.eligible += g.retire()
 }
 
-// retire drops fully drained closed epochs from the front. It shifts
-// the live epochs down instead of reslicing, so the slice keeps its
-// capacity and the next OrderLight packet appends without allocating.
-func (g *trackerGroup) retire() {
+// Eligible returns how many registered-but-unissued requests CanIssue
+// currently allows, over all groups: the sum of each group's oldest
+// live epoch. Arrive, OrderLight and Issued keep it in O(1). Within a
+// group epochs never decrease in arrival order, so a scheduler walking
+// its queue oldest-first has seen every eligible request once it has
+// seen this many.
+func (t *Tracker) Eligible() int { return t.eligible }
+
+// retire drops fully drained closed epochs from the front and returns
+// the request count of the epoch that became the oldest (0 when none
+// was dropped: the dropped epochs were empty). It shifts the live
+// epochs down instead of reslicing, so the slice keeps its capacity and
+// the next OrderLight packet appends without allocating.
+func (g *trackerGroup) retire() int {
 	n := 0
 	for n < len(g.epochs)-1 && g.epochs[n] == 0 {
 		n++
 	}
-	if n > 0 {
-		g.epochs = g.epochs[:copy(g.epochs, g.epochs[n:])]
-		g.base += Epoch(n)
+	if n == 0 {
+		return 0
 	}
+	g.epochs = g.epochs[:copy(g.epochs, g.epochs[n:])]
+	g.base += Epoch(n)
+	return g.epochs[0]
 }
 
 // Blocked reports whether the group currently has an OrderLight

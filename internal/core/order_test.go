@@ -190,6 +190,60 @@ func TestTrackerOrderingInvariantProperty(t *testing.T) {
 	}
 }
 
+// TestTrackerEligibleCountProperty checks the O(1) eligible count
+// against a recount of the outstanding requests CanIssue allows, after
+// every arrival, packet and issue, including issues out of a younger
+// epoch (what a fault plan's ordering bypass does) and a Reset midway.
+func TestTrackerEligibleCountProperty(t *testing.T) {
+	type pending struct {
+		group int
+		epoch Epoch
+	}
+	f := func(ops []uint16, seed uint64) bool {
+		const groups = 3
+		tr := NewTracker(groups)
+		rng := sim.NewRand(seed)
+		var queue []pending
+		var pkt uint32
+		for k, op := range ops {
+			g := int(op) % groups
+			switch (op / 8) % 4 {
+			case 0, 3:
+				queue = append(queue, pending{g, tr.Arrive(g)})
+			case 1:
+				tr.OrderLight(g, pkt)
+				pkt++
+			case 2:
+				if len(queue) == 0 {
+					continue
+				}
+				i := rng.Intn(len(queue))
+				if p := queue[i]; tr.CanIssue(p.group, p.epoch) || op%5 == 0 {
+					tr.Issued(p.group, p.epoch)
+					queue = append(queue[:i], queue[i+1:]...)
+				}
+			}
+			if k == len(ops)/2 && op%7 == 0 {
+				tr.Reset(groups)
+				queue = queue[:0]
+			}
+			n := 0
+			for _, p := range queue {
+				if tr.CanIssue(p.group, p.epoch) {
+					n++
+				}
+			}
+			if tr.Eligible() != n {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCollectorCounter(t *testing.T) {
 	c := NewCollectorCounter(2, 2)
 	if !c.Zero(0, 0) {

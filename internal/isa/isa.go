@@ -222,25 +222,15 @@ func (o ALUOp) ApplySlot(dst, ts, operand []int32, imm int32) {
 
 // ApplyScalar computes dst[l] = o.Apply(ts[l], imm, imm) for every lane
 // of dst: the form of a PIM exec command, whose operand is its own
-// immediate. ts must be at least as long as dst and may alias it. With
-// a constant operand, add, MAC and sub all add one constant (int32
-// wraps, so ts - imm == ts + -imm even at MinInt32), and the ops that
-// ignore ts fill dst with one.
+// immediate. ts must be at least as long as dst and may alias it. Ops
+// whose exec form is affine (see ScalarAffine) run as one ApplyAffine.
 func (o ALUOp) ApplyScalar(dst, ts []int32, imm int32) {
+	if mul, add, ok := o.ScalarAffine(imm); ok {
+		ApplyAffine(dst, ts, mul, add)
+		return
+	}
 	ts = ts[:len(dst)]
 	switch o {
-	case OpNop:
-		copy(dst, ts)
-	case OpAdd:
-		addConst(dst, ts, imm)
-	case OpMAC:
-		addConst(dst, ts, imm*imm)
-	case OpSub:
-		addConst(dst, ts, -imm)
-	case OpMul:
-		for l := range dst {
-			dst[l] = ts[l] * imm
-		}
 	case OpMax:
 		for l := range dst {
 			dst[l] = max(ts[l], imm)
@@ -249,22 +239,54 @@ func (o ALUOp) ApplyScalar(dst, ts []int32, imm int32) {
 		for l := range dst {
 			dst[l] = ts[l] ^ imm
 		}
-	case OpScale:
-		fill(dst, imm*imm)
-	case OpCopy:
-		fill(dst, imm)
-	case OpIncr:
-		fill(dst, imm+imm)
 	default:
 		panic(fmt.Sprintf("isa: ApplyScalar on unknown op %v", o))
 	}
 }
 
-// addConst sets dst[l] = ts[l] + c; ts is as long as dst.
-func addConst(dst, ts []int32, c int32) {
+// ScalarAffine reports whether the exec form of the op (ApplyScalar
+// with immediate imm) maps every lane x to mul*x + add, and returns
+// that map. With a constant operand, add, MAC and sub add one constant
+// (int32 wraps, so x - imm == x + -imm even at MinInt32), mul scales
+// by one, the ops that ignore x have mul 0, and xor by 0 (gen_fil's
+// compare) is the identity. int32 arithmetic wraps exactly, so two
+// such maps compose into a third: mul2*(mul1*x + add1) + add2 ==
+// (mul2*mul1)*x + (mul2*add1 + add2) in every lane.
+func (o ALUOp) ScalarAffine(imm int32) (mul, add int32, ok bool) {
+	switch o {
+	case OpNop:
+		return 1, 0, true
+	case OpAdd:
+		return 1, imm, true
+	case OpMAC:
+		return 1, imm * imm, true
+	case OpSub:
+		return 1, -imm, true
+	case OpMul:
+		return imm, 0, true
+	case OpScale:
+		return 0, imm * imm, true
+	case OpCopy:
+		return 0, imm, true
+	case OpIncr:
+		return 0, imm + imm, true
+	case OpXor:
+		return 1, 0, imm == 0
+	}
+	return 0, 0, false
+}
+
+// ApplyAffine sets dst[l] = mul*ts[l] + add for every lane of dst, in
+// wrapping int32 arithmetic. ts must be at least as long as dst and may
+// alias it; with mul 0 it is not read.
+func ApplyAffine(dst, ts []int32, mul, add int32) {
+	if mul == 0 {
+		fill(dst, add)
+		return
+	}
 	ts = ts[:len(dst)]
 	for l := range dst {
-		dst[l] = ts[l] + c
+		dst[l] = mul*ts[l] + add
 	}
 }
 

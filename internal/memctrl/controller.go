@@ -254,20 +254,22 @@ func (c *Controller) NextWork(cycle int64) int64 {
 	return next
 }
 
-// nextSchedule mirrors schedule()'s two passes without side effects: it
-// returns the earliest cycle at which some eligible transaction could
-// issue a column, precharge or activate command. Two states force the
-// current cycle: a PIMExec candidate (always bus-ready) and the
-// no-eligible-candidate state, where schedule() accrues OLFlagBlocked
-// every cycle and must therefore tick densely.
+// nextSchedule mirrors schedule()'s walk without side effects: it
+// returns the earliest cycle at which some candidate could issue a
+// column, precharge or activate command. Two states force the current
+// cycle: a PIMExec candidate (always bus-ready) and the no-candidate
+// state, where schedule() accrues OLFlagBlocked every cycle and must
+// therefore tick densely.
 func (c *Controller) nextSchedule(cycle int64) int64 {
 	next := never
 	any := false
-	for i := range c.txq {
+	limit, seen := c.walkLimit(), 0
+	for i := 0; i < len(c.txq) && seen < limit; i++ {
 		e := &c.txq[i]
 		if !c.canIssue(e) {
 			continue
 		}
+		seen++
 		if c.seqno && e.r.Kind.IsPIM() && e.r.Seq != c.nextSeq {
 			continue
 		}
@@ -282,8 +284,8 @@ func (c *Controller) nextSchedule(cycle int64) int64 {
 		if t := c.timing.Earliest(cmd, e.bank(), e.row()); t >= 0 && t < next {
 			next = t
 		}
-		// Bank-progress wake-up (schedule's pass 2): the precharge or
-		// activate the transaction needs before its column can issue.
+		// Bank-progress wake-up: the precharge or activate the
+		// transaction needs before its column can issue.
 		switch open := c.timing.OpenRow(e.bank()); {
 		case open == e.row():
 			// Row open; the column wake-up above covers it.
@@ -411,18 +413,34 @@ func (c *Controller) orderLight(group int, pktNum uint32) {
 }
 
 // schedule issues at most one DRAM command (or PIMExec bus slot) per
-// memory cycle, FR-FCFS among transactions the ordering tracker allows.
+// memory cycle, FR-FCFS among transactions the ordering tracker allows,
+// in one oldest-first walk over the candidates:
+//
+//   - The first column-ready candidate issues its column command (row
+//     hits first, then oldest). Under FCFS only the oldest candidate is
+//     looked at.
+//   - Otherwise the oldest candidate whose bank can make progress gets
+//     its precharge or activate. The choice is made during the same
+//     walk: nothing changes timing before the walk ends, so it is the
+//     command a second walk would pick. A candidate whose row is open
+//     (it waits out column timing) ends the search, and under FCFS so
+//     does the oldest candidate whatever it found.
+//
+// The walk stops once it has seen every candidate the tracker counts
+// (see walkLimit).
 func (c *Controller) schedule(memCycle int64) {
 	if len(c.txq) == 0 {
 		return
 	}
-	// Pass 1: oldest column-ready candidate (row-hit-first).
-	anyCandidate := false
-	for i := range c.txq {
+	anyCandidate, decided := false, false
+	progress := -1 // txq index of the entry whose bank gets PRE/ACT
+	limit, seen := c.walkLimit(), 0
+	for i := 0; i < len(c.txq) && seen < limit; i++ {
 		e := &c.txq[i]
 		if !c.canIssue(e) {
 			continue
 		}
+		seen++
 		if c.seqno && e.r.Kind.IsPIM() && e.r.Seq != c.nextSeq {
 			continue // strict in-order release under sequence numbers
 		}
@@ -431,59 +449,61 @@ func (c *Controller) schedule(memCycle int64) {
 			c.issueColumn(i, memCycle)
 			return
 		}
+		if !decided {
+			// e is not a PIMExec: an exec is always column-ready.
+			switch open := c.timing.OpenRow(e.bank()); {
+			case open == e.row():
+				decided = true // row already open; waiting out column timing
+			case open >= 0:
+				if c.timing.CanIssue(dram.CmdPRE, e.bank(), open, memCycle) {
+					decided, progress = true, i
+				}
+			default:
+				if c.timing.CanIssue(dram.CmdACT, e.bank(), e.row(), memCycle) {
+					decided, progress = true, i
+				}
+			}
+		}
 		if c.fcfs {
-			break // strict FCFS: never hoist a younger row hit
+			break // strict FCFS: only the oldest may touch the device
 		}
 	}
 	if !anyCandidate {
 		c.st.OLFlagBlocked++
 		return
 	}
-	// Pass 2: progress the oldest candidate's bank (precharge/activate).
-	for i := range c.txq {
-		e := &c.txq[i]
-		if !c.canIssue(e) {
-			continue
-		}
-		if c.seqno && e.r.Kind.IsPIM() && e.r.Seq != c.nextSeq {
-			continue
-		}
-		if e.r.Kind == isa.KindPIMExec {
-			continue // never needs bank progress; bus contention only
-		}
-		open := c.timing.OpenRow(e.bank())
-		switch {
-		case open == e.row():
-			// Row already open; just waiting out column timing.
-			return
-		case open >= 0:
-			if c.timing.CanIssue(dram.CmdPRE, e.bank(), open, memCycle) {
-				c.timing.Issue(dram.CmdPRE, e.bank(), open, memCycle)
-				c.st.PreCmds++
-				if c.Sink != nil {
-					c.emit("mc", "PRE", memCycle, 0, fmt.Sprintf("bank %d row %d", e.bank(), open))
-				}
-				return
-			}
-		default:
-			if c.timing.CanIssue(dram.CmdACT, e.bank(), e.row(), memCycle) {
-				c.timing.Issue(dram.CmdACT, e.bank(), e.row(), memCycle)
-				c.st.ActCmds++
-				e.didACT = true
-				if c.Sink != nil {
-					c.emit("mc", "ACT", memCycle, 0, fmt.Sprintf("bank %d row %d", e.bank(), e.row()))
-				}
-				return
-			}
-		}
-		// The oldest candidate's bank is waiting out timing; allow a
-		// younger candidate on a different bank to make progress instead
-		// (bank-level parallelism), but never issue more than one
-		// command per cycle.
-		if c.fcfs {
-			return // strict FCFS: only the oldest may touch the device
-		}
+	if progress < 0 {
+		// Every candidate's bank is waiting out timing; younger ones on
+		// other banks were considered too (bank-level parallelism).
+		return
 	}
+	e := &c.txq[progress]
+	if open := c.timing.OpenRow(e.bank()); open >= 0 {
+		c.timing.Issue(dram.CmdPRE, e.bank(), open, memCycle)
+		c.st.PreCmds++
+		if c.Sink != nil {
+			c.emit("mc", "PRE", memCycle, 0, fmt.Sprintf("bank %d row %d", e.bank(), open))
+		}
+		return
+	}
+	c.timing.Issue(dram.CmdACT, e.bank(), e.row(), memCycle)
+	c.st.ActCmds++
+	e.didACT = true
+	if c.Sink != nil {
+		c.emit("mc", "ACT", memCycle, 0, fmt.Sprintf("bank %d row %d", e.bank(), e.row()))
+	}
+}
+
+// walkLimit is how many candidates schedule and nextSchedule can find:
+// the tracker's eligible count, since Arrive and Issued run exactly as
+// entries join and leave txq and a group's eligible entries are a
+// prefix of its entries. A fault plan that can bypass ordering makes
+// any entry a candidate, so then the walk covers all of txq.
+func (c *Controller) walkLimit() int {
+	if c.Fault.Spec().Class == fault.ClassIllegalReorder {
+		return len(c.txq)
+	}
+	return c.tracker.Eligible()
 }
 
 // canIssue is the scheduler's ordering gate: the tracker's verdict,

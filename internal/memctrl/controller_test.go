@@ -7,6 +7,7 @@ import (
 	"orderlight/internal/dram"
 	"orderlight/internal/fault"
 	"orderlight/internal/isa"
+	"orderlight/internal/sim"
 	"orderlight/internal/stats"
 )
 
@@ -411,4 +412,53 @@ func ids(reqs []isa.Request) []uint64 {
 		out[i] = r.ID
 	}
 	return out
+}
+
+// BenchmarkControllerSchedule times one memory cycle of a controller
+// whose 64-entry working set is kept full of multi-epoch OrderLight
+// traffic: PIM loads, stores and execs over all 16 banks and 4 groups,
+// with an OrderLight packet to a random group every eighth request on
+// average, so several epochs are live in each group.
+func BenchmarkControllerSchedule(b *testing.B) {
+	cfg := config.Default()
+	c, _, geom, st := newTestController(cfg)
+	rng := sim.NewRand(1)
+	pattern := make([]isa.Request, 4096)
+	kinds := []isa.Kind{isa.KindPIMLoad, isa.KindPIMStore, isa.KindPIMExec}
+	for i := range pattern {
+		if rng.Intn(8) == 0 {
+			pattern[i] = olReq(0, rng.Intn(geom.Groups), 0)
+			continue
+		}
+		pattern[i] = req(geom, 0, kinds[rng.Intn(len(kinds))], isa.OpAdd,
+			rng.Intn(geom.Banks), rng.Intn(4), rng.Intn(geom.SlotsPerRow), rng.Intn(8))
+	}
+	next, num := 0, uint32(0)
+	cycle := func(cy int64) {
+		for {
+			r := pattern[next%len(pattern)]
+			r.ID = uint64(next + 1)
+			r.OL.Number = num
+			if !c.CanAccept(r) {
+				break
+			}
+			c.Accept(r)
+			if r.Kind == isa.KindOrderLight {
+				num++
+			}
+			next++
+		}
+		c.Tick(cy)
+	}
+	const warm = 100000
+	for cy := int64(0); cy < warm; cy++ {
+		cycle(cy)
+	}
+	issued := st.PIMCommands
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(warm + int64(i))
+	}
+	b.ReportMetric(float64(st.PIMCommands-issued)/float64(b.N), "cmds/cycle")
 }

@@ -24,5 +24,17 @@
 // The ALU works slot-wide: Exec dispatches on the command's op once and
 // runs a tight loop over all 8*BMF lanes (isa.ALUOp.ApplySlot and
 // ApplyScalar). isa.ALUOp.Apply is the per-lane reference those loops
-// are tested against.
+// are tested against, and TestUnitMatchesPerLaneModel checks the unit
+// itself against a per-lane model of it.
+//
+// Temporary storage is lazy. Each TS slot keeps, beside its lanes, a
+// pending int32 pair (mul, add): the slot's value in lane l is
+// mul*lanes[l] + add. An exec whose constant-operand form is affine
+// (add, sub, MAC, mul; copy, scale and incr with mul 0; xor by 0; see
+// isa.ALUOp.ScalarAffine) composes into the pair in O(1), exactly,
+// because int32 arithmetic wraps. A load replaces the lanes and resets
+// the pair; whatever reads the lanes (compute, store, Slot, a max exec
+// or an xor by non-zero) first settles the pair into them in one pass. A reset slot
+// is the pair (0, 0), so Reset does not clear the slab. Verify's
+// reference replay (Unit.Apply) runs on the same representation.
 package pim

@@ -12,9 +12,9 @@ import (
 type Unit struct {
 	channel int
 	lanes   int
-	slab    []int32   // the TS slots, then the scratch buffer
-	slots   [][]int32 // views into slab
-	scratch []int32   // PIM_Scale result buffer, after the slots in the slab
+	slab    []int32  // the TS slots' lanes, then the scratch buffer
+	slots   []tsSlot // lanes are views into slab
+	scratch []int32  // PIM_Scale result buffer, after the slots in the slab
 	store   *dram.Store
 
 	// deferred holds commands whose functional execution has been
@@ -23,6 +23,16 @@ type Unit struct {
 	// per-plan lag, so due times are non-decreasing and RunDue drains
 	// from the front.
 	deferred []deferredCmd
+}
+
+// tsSlot is one temporary-storage slot. It is lazy: lane l of the slot
+// holds mul*lanes[l] + add. Exec commands whose form is affine
+// (isa.ALUOp.ScalarAffine) compose into (mul, add) in O(1); whatever
+// reads the lanes settles the pair into them first, in one pass. The
+// zero tsSlot reads as all zeros whatever its lanes hold.
+type tsSlot struct {
+	lanes    []int32
+	mul, add int32
 }
 
 // deferredCmd is one command awaiting deferred execution.
@@ -41,21 +51,21 @@ func NewUnit(channel, nslots int, store *dram.Store) *Unit {
 
 // Reset gives the unit a new channel, slot count and backing store,
 // with every TS slot zeroed and nothing deferred. The slot slab is kept
-// when it is large enough.
+// when it is large enough, and not cleared: a zero tsSlot reads as
+// zeros.
 func (u *Unit) Reset(channel, nslots int, store *dram.Store) {
 	lanes := store.Lanes()
 	if n := (nslots + 1) * lanes; cap(u.slab) < n {
 		u.slab = make([]int32, n)
 	} else {
 		u.slab = u.slab[:n]
-		clear(u.slab)
 	}
 	if cap(u.slots) < nslots {
-		u.slots = make([][]int32, nslots)
+		u.slots = make([]tsSlot, nslots)
 	}
 	u.slots = u.slots[:nslots]
 	for i := range u.slots {
-		u.slots[i] = u.slab[i*lanes : (i+1)*lanes : (i+1)*lanes]
+		u.slots[i] = tsSlot{lanes: u.slab[i*lanes : (i+1)*lanes : (i+1)*lanes]}
 	}
 	u.channel, u.lanes, u.store = channel, lanes, store
 	u.scratch = u.slab[nslots*lanes:]
@@ -68,8 +78,19 @@ func (u *Unit) Slots() int { return len(u.slots) }
 // Slot returns a copy of a TS slot's contents, for tests.
 func (u *Unit) Slot(i int) []int32 {
 	out := make([]int32, u.lanes)
-	copy(out, u.slots[i])
+	copy(out, u.settle(i))
 	return out
+}
+
+// settle applies slot i's pending (mul, add) to its lanes and returns
+// them.
+func (u *Unit) settle(i int) []int32 {
+	s := &u.slots[i]
+	if s.mul != 1 || s.add != 0 {
+		isa.ApplyAffine(s.lanes, s.lanes, s.mul, s.add)
+		s.mul, s.add = 1, 0
+	}
+	return s.lanes
 }
 
 // Exec executes one fine-grained PIM command. It returns an error for
@@ -86,19 +107,26 @@ func (u *Unit) Exec(r isa.Request) error {
 	}
 	switch r.Kind {
 	case isa.KindPIMLoad:
-		copy(u.slots[r.TSlot], u.store.Read(r.Addr))
+		s := &u.slots[r.TSlot]
+		copy(s.lanes, u.store.Read(r.Addr))
+		s.mul, s.add = 1, 0
 	case isa.KindPIMCompute:
-		slot := u.slots[r.TSlot]
+		slot := u.settle(int(r.TSlot))
 		r.Op.ApplySlot(slot, slot, u.store.Read(r.Addr), r.Imm)
 	case isa.KindPIMStore:
-		u.store.Write(r.Addr, u.slots[r.TSlot])
+		u.store.Write(r.Addr, u.settle(int(r.TSlot)))
 	case isa.KindPIMScale:
 		old := u.store.Read(r.Addr)
 		r.Op.ApplySlot(u.scratch, old, old, r.Imm)
 		u.store.Write(r.Addr, u.scratch)
 	case isa.KindPIMExec:
-		slot := u.slots[r.TSlot]
-		r.Op.ApplyScalar(slot, slot, r.Imm)
+		if mul, add, ok := r.Op.ScalarAffine(r.Imm); ok {
+			s := &u.slots[r.TSlot]
+			s.mul, s.add = mul*s.mul, mul*s.add+add
+		} else {
+			slot := u.settle(int(r.TSlot))
+			r.Op.ApplyScalar(slot, slot, r.Imm)
+		}
 	default:
 		return fmt.Errorf("pim: unit cannot execute %v", r.Kind)
 	}
